@@ -62,9 +62,11 @@ incremental:
 # partition/segment suites (including the 200-graph phased-vs-sequential
 # differential), the barrier and phased-engine packages (real worker
 # goroutines every period), the partition invariant oracles, and the
-# fuzzer's partitioned grid sweep with its P=1 byte-identity check.
+# fuzzer's partitioned grid sweep with its P=1 byte-identity check, and one
+# pass of each engine's RunPeriod benchmark so they keep compiling and running.
 parallel:
 	$(GO) test -race ./internal/partition/... ./internal/par/... ./internal/runtime/... ./internal/sim/...
+	$(GO) test -run '^$$' -bench 'RunPeriod' -benchtime 1x ./internal/runtime/
 	$(GO) test -race -run 'TestPartition|TestPhased|TestCorrupted|TestThreaded|TestPipelineCleanPartitioned' ./internal/check/...
 	$(GO) run ./cmd/sdffuzz -n 50 -seed 2
 

@@ -122,12 +122,18 @@ type SpeedupRow struct {
 // point arithmetic per firing on top of the usual fold — a stand-in for real
 // actor bodies, so the barrier overhead is weighed against computation the
 // way a deployment would see it. Outputs stay a deterministic function of
-// inputs; every engine gets its own closure set.
+// inputs; every engine gets its own closure set. Each closure allocates its
+// output vectors once and returns them on every firing (the engines copy
+// outputs into their image before the next firing), so the timings carry no
+// garbage collection of the benchmark's own making.
 func workFire(g *sdf.Graph, work int) map[sdf.ActorID]runtime.Fire {
 	fires := make(map[sdf.ActorID]runtime.Fire, g.NumActors())
 	for _, a := range g.Actors() {
-		id := a.ID
-		fires[id] = func(inputs [][]float64) [][]float64 {
+		outs := make([][]float64, len(g.Out(a.ID)))
+		for oi, eid := range g.Out(a.ID) {
+			outs[oi] = make([]float64, g.Edge(eid).Prod)
+		}
+		fires[a.ID] = func(inputs [][]float64) [][]float64 {
 			var acc float64
 			for _, in := range inputs {
 				for _, v := range in {
@@ -138,13 +144,10 @@ func workFire(g *sdf.Graph, work int) map[sdf.ActorID]runtime.Fire {
 			for k := 0; k < work; k++ {
 				x = x*1.0000001 + 0.5
 			}
-			outs := make([][]float64, len(g.Out(id)))
-			for oi, eid := range g.Out(id) {
-				vals := make([]float64, g.Edge(eid).Prod)
+			for _, vals := range outs {
 				for i := range vals {
 					vals[i] = x + float64(i)
 				}
-				outs[oi] = vals
 			}
 			return outs
 		}

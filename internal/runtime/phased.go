@@ -6,15 +6,18 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/par"
+	"repro/internal/partition"
 	"repro/internal/sdf"
 )
 
-// PhasedEngine executes a partitioned compilation result on P goroutines:
-// each period runs the phased schedule with every worker firing its blocks
-// concurrently and a cyclic barrier between phases. Buffers live in the
-// segmented memory image (per-worker private segments plus one shared
-// segment), so all cross-worker traffic is write-then-barrier-then-read and
-// the run is race-free without any per-buffer locking.
+// PhasedEngine executes a partitioned compilation result on P workers: each
+// period runs the phased schedule with every worker firing its blocks
+// concurrently and a cyclic barrier between phases. Worker 0 runs on the
+// goroutine that calls RunPeriod; workers 1..P-1 are goroutines spawned and
+// joined within the period. Buffers live in the segmented memory image
+// (per-worker private segments plus one shared segment), so all cross-worker
+// traffic is write-then-barrier-then-read and the run is race-free without
+// any per-buffer locking.
 //
 // Because SDF semantics are deterministic, a PhasedEngine's observable
 // behaviour — every firing's consumed and produced token values, and the
@@ -24,11 +27,11 @@ import (
 // actor, fixed for the whole run), so a Fire closure may keep per-actor
 // state but must not share mutable state across actors.
 type PhasedEngine struct {
-	res   *core.Result
-	fires map[sdf.ActorID]Fire
-	mem   []float64
-	edges []edgeState
-	bar   *par.Barrier
+	image
+	part *partition.Partitioned
+	bar  *par.Barrier
+	errs []error // per worker, reused every period
+	wg   sync.WaitGroup
 }
 
 // NewPhased builds a phased engine for a compilation result that carries a
@@ -38,83 +41,30 @@ func NewPhased(res *core.Result, fires map[sdf.ActorID]Fire) (*PhasedEngine, err
 	if res.Partition == nil || res.Segmented == nil {
 		return nil, fmt.Errorf("runtime: result has no partitioned schedule (compile with Partitions >= 2)")
 	}
-	g := res.Graph
-	e := &PhasedEngine{
-		res:   res,
-		fires: fires,
-		mem:   make([]float64, res.Segmented.Total),
-		edges: make([]edgeState, g.NumEdges()),
-		bar:   par.NewBarrier(res.Partition.P),
+	m, err := newImage(res.Graph, fires, res.Segmented.Total, func(e sdf.EdgeID) (int64, int64, bool) {
+		return res.Segmented.Offset(e), res.Segmented.Size(e), true
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, ed := range g.Edges() {
-		if ed.Words > 1 {
-			return nil, fmt.Errorf("runtime: edge %d uses %d-word tokens; the float64 engine supports scalar tokens only",
-				ed.ID, ed.Words)
-		}
-		st := &e.edges[ed.ID]
-		st.offset = res.Segmented.Offset(ed.ID)
-		st.size = res.Segmented.Size(ed.ID)
-		st.count = ed.Delay
-		// Initial tokens are zeros, occupying the first del cells.
-		st.wr = ed.Delay
-	}
-	return e, nil
+	part := res.Partition
+	return &PhasedEngine{image: m, part: part, bar: par.NewBarrier(part.P), errs: make([]error, part.P)}, nil
 }
 
-// Mem exposes the segmented memory image (for inspection; do not resize).
-func (e *PhasedEngine) Mem() []float64 { return e.mem }
-
-// TokensOn returns the tokens currently queued on an edge, oldest first.
-// Call it only between periods (RunPeriod joins its workers before
-// returning, so the image is quiescent then).
-func (e *PhasedEngine) TokensOn(edge sdf.EdgeID) []float64 {
-	st := &e.edges[edge]
-	out := make([]float64, st.count)
-	for i := int64(0); i < st.count; i++ {
-		out[i] = e.mem[st.offset+(st.rd+i)%st.size]
-	}
-	return out
-}
-
-// Push appends tokens to an edge's queue (useful to seed non-zero initial
-// token values before the first period).
-func (e *PhasedEngine) Push(edge sdf.EdgeID, values ...float64) error {
-	st := &e.edges[edge]
-	if st.count+int64(len(values)) > st.size {
-		return fmt.Errorf("runtime: pushing %d tokens overflows edge %d (count %d, size %d)",
-			len(values), edge, st.count, st.size)
-	}
-	for _, v := range values {
-		e.mem[st.offset+st.wr%st.size] = v
-		st.wr++
-		st.count++
-	}
-	return nil
-}
-
-// RunPeriod executes one complete schedule period on P worker goroutines.
-// Workers are spawned and joined per period; a worker that fails stops
-// firing but keeps arriving at every barrier so the others complete
-// deterministically, and the lowest-indexed worker's error is returned.
+// RunPeriod executes one complete schedule period: it spawns P-1 worker
+// goroutines, runs worker 0 itself, and joins them all before returning. A
+// worker that fails stops firing but keeps arriving at every barrier so the
+// others complete deterministically, and the lowest-indexed worker's error
+// is returned.
 func (e *PhasedEngine) RunPeriod() error {
-	part := e.res.Partition
-	g := e.res.Graph
-	errs := make([]error, part.P)
-	var wg sync.WaitGroup
-	for w := 0; w < part.P; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for ph := 0; ph < part.NumPhases; ph++ {
-				if errs[w] == nil {
-					errs[w] = e.runPhase(g, ph, w)
-				}
-				e.bar.Await()
-			}
-		}(w)
+	clear(e.errs)
+	e.wg.Add(len(e.errs))
+	for w := 1; w < len(e.errs); w++ {
+		go e.work(w)
 	}
-	wg.Wait()
-	for _, err := range errs {
+	e.work(0)
+	e.wg.Wait()
+	for _, err := range e.errs {
 		if err != nil {
 			return err
 		}
@@ -122,14 +72,20 @@ func (e *PhasedEngine) RunPeriod() error {
 	return nil
 }
 
-func (e *PhasedEngine) runPhase(g *sdf.Graph, ph, w int) error {
-	for _, blk := range e.res.Partition.Phases[ph].Workers[w] {
-		for k := int64(0); k < blk.Count; k++ {
-			if err := fireActor(g, e.mem, e.edges, e.fires, blk.Actor); err != nil {
-				return fmt.Errorf("runtime: phase %d worker %d firing %s: %w",
-					ph, w, g.Actor(blk.Actor).Name, err)
+// work runs worker w's blocks of every phase, arriving at the barrier after
+// each phase.
+func (e *PhasedEngine) work(w int) {
+	defer e.wg.Done()
+	for ph := 0; ph < e.part.NumPhases; ph++ {
+		for _, blk := range e.part.Phases[ph].Workers[w] {
+			if e.errs[w] != nil {
+				break
+			}
+			if err := e.fire(blk.Actor, blk.Count); err != nil {
+				e.errs[w] = fmt.Errorf("runtime: phase %d worker %d firing %s: %w",
+					ph, w, e.g.Actor(blk.Actor).Name, err)
 			}
 		}
+		e.bar.Await()
 	}
-	return nil
 }
