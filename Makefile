@@ -41,11 +41,13 @@ race-full:
 race-service:
 	$(GO) test -race -count=2 ./internal/service/...
 
-# grid validates the prefix-sharing plan executor: the planner-vs-direct
-# differential property test under the race detector, plus the fuzzer's
-# planner-path grid sweep over random graphs and the crasher corpus.
+# grid validates the prefix-sharing plan executor under the race detector:
+# the grid-vs-one-point-plan differential property test, the equivalence
+# fixture (artifacts, errors and oracle verdicts pinned per graph) and the
+# Plan.Stats determinism test, plus the fuzzer's planner-path grid sweep
+# over random graphs and the crasher corpus.
 grid:
-	$(GO) test -race -run 'TestPlan|TestPlannerDifferential|TestGrid' ./internal/pass/... ./internal/service/...
+	$(GO) test -race -run 'TestPlan|TestPlannerDifferential|TestGrid|TestEquivalenceFixture|TestStatsDeterminism' ./internal/pass/... ./internal/service/...
 	$(GO) run ./cmd/sdffuzz -n 50 -seed 1
 	cd cmd/sdffuzz && $(GO) run . -corpus
 

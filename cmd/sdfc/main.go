@@ -127,14 +127,23 @@ func main() {
 		}
 	}
 
-	var res *core.Result
+	// A nil *nodestore.Store inside the interface would defeat the plan's
+	// nil check, so the store stays an untyped nil without -store.
+	var store pass.Store
 	if *storeDir != "" {
-		res, err = compileWithStore(g, opts, *storeDir, *storeMB<<20)
-	} else {
-		res, err = core.CompileGeneral(g, opts)
+		st, err := nodestore.Open(*storeDir, *storeMB<<20)
+		if err != nil {
+			fatal(err)
+		}
+		store = st
 	}
+	outs, err := pass.RunGridOutcomes(context.Background(), g, []core.Options{opts}, pass.PlanConfig{Store: store})
 	if err != nil {
 		fatal(err)
+	}
+	res := outs[0].Result
+	if outs[0].Err != nil {
+		fatal(outs[0].Err)
 	}
 	if !*quiet {
 		fmt.Printf("graph      : %s (%d actors, %d edges)\n", g.Name, g.NumActors(), g.NumEdges())
@@ -217,23 +226,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d bytes)\n", *emitVHDL, len(src))
 	}
-}
-
-// compileWithStore compiles through the pass planner backed by a persistent
-// on-disk node store: stages whose inputs are unchanged since an earlier
-// sdfc (or sdfd) run against the same store directory are loaded instead of
-// executed. Results are identical to the direct path — the store is a pure
-// cache keyed by what each pass actually reads.
-func compileWithStore(g *sdf.Graph, opts core.Options, dir string, budget int64) (*core.Result, error) {
-	st, err := nodestore.Open(dir, budget)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := pass.RunGridOutcomes(context.Background(), g, []core.Options{opts}, pass.PlanConfig{Store: st})
-	if err != nil {
-		return nil, err
-	}
-	return outs[0].Result, outs[0].Err
 }
 
 // splitAllocators turns the -alloc flag value into a clean name list.

@@ -9,12 +9,11 @@
 // Compile is the single entry point a downstream user needs; the individual
 // phases remain available in their own packages.
 //
-// Since the pass-graph refactor the pipeline body lives in internal/pass:
-// each Fig. 21 stage is a typed pass with an explicit artifact struct and a
-// content key, and pass.Plan executes whole configuration grids with
-// memoized prefix sharing. This package re-exports the option/result types
-// as aliases and keeps Compile as the thin sequential assembly, so existing
-// callers are untouched. See docs/PIPELINE.md.
+// The pipeline body lives in internal/pass: each Fig. 21 stage is a typed
+// pass with an explicit artifact struct and a content key, and pass.Plan
+// executes whole configuration grids with memoized prefix sharing. This
+// package re-exports the option/result types as aliases and the compile
+// entry points, each a one-point pass.Plan. See docs/PIPELINE.md.
 package core
 
 import (
@@ -54,9 +53,11 @@ const (
 	FlatLoops = pass.FlatLoops
 )
 
-// Options configures Compile. The zero value is the paper's recommended
-// configuration: RPMC ordering, SDPPO looping, first-fit-by-duration and
-// first-fit-by-start allocation with the better result selected.
+// Options configures Compile. The zero value selects APGAN ordering (the
+// first OrderStrategy constant), SDPPO looping, and first-fit-by-duration
+// and first-fit-by-start allocation with the better result selected. sdfc
+// and sdfd default to RPMC ordering instead, through their flag and
+// wire-option defaults.
 type Options = pass.Options
 
 // Result is the outcome of a compilation.
@@ -65,11 +66,12 @@ type Result = pass.Result
 // Metrics gathers every number the paper's tables report for one run.
 type Metrics = pass.Metrics
 
-// Pipeline stage names reported through Options.OnStage and used in
-// deadline-exceeded errors. They follow the Fig. 21 flow: the schedule stage
-// covers the repetitions vector and the topological sort, loopdp is the
-// loop-hierarchy DP, then lifetime extraction and storage allocation;
-// verify and merge fire only when the corresponding option is set.
+// Pipeline stage names used in cancellation errors ("core: aborted before
+// <stage> stage"); sdfd also labels its stage-latency histogram with the
+// pass-level ones. They follow the Fig. 21 flow: the schedule stage covers the repetitions vector and the
+// topological sort, loopdp is the loop-hierarchy DP, then lifetime
+// extraction and storage allocation; verify and merge are reached only when
+// the corresponding option is set.
 const (
 	StageSchedule  = pass.StageSchedule
 	StageLoopDP    = pass.StageLoopDP
@@ -82,15 +84,14 @@ const (
 	StageDone      = pass.StageDone
 )
 
-// Compile runs the full flow on a consistent SDF graph.
+// Compile runs the full flow on a consistent SDF graph, acyclic or cyclic.
 func Compile(g *sdf.Graph, opts Options) (*Result, error) {
 	return pass.Compile(g, opts)
 }
 
 // CompileContext is Compile with cooperative cancellation: the deadline or
-// cancellation of ctx is observed at every stage boundary, and the OnStage
-// hook (if any) sees each stage begin. A cancelled compilation returns an
-// error wrapping ctx.Err() and no Result.
+// cancellation of ctx is observed at every stage boundary. A cancelled
+// compilation returns an error wrapping ctx.Err() and no Result.
 func CompileContext(ctx context.Context, g *sdf.Graph, opts Options) (*Result, error) {
 	return pass.CompileContext(ctx, g, opts)
 }

@@ -7,18 +7,14 @@ import (
 	"repro/internal/sdf"
 )
 
-// CompileGeneral compiles an arbitrary consistent SDF graph, including
-// graphs whose precedence relation is cyclic. Acyclic graphs take the normal
-// Compile path; cyclic graphs go through the SCC-condensation decomposition
-// implemented by pass.CompileGeneral (see that function for the algorithm).
+// CompileGeneral is Compile, kept under the name that marks support for
+// graphs whose precedence relation is cyclic: those take the
+// SCC-condensation decomposition (see docs/PIPELINE.md).
 func CompileGeneral(g *sdf.Graph, opts Options) (*Result, error) {
-	return pass.CompileGeneral(g, opts)
+	return pass.Compile(g, opts)
 }
 
-// CompileGeneralContext is CompileGeneral with cooperative cancellation, on
-// the same contract as CompileContext: ctx is checked at stage boundaries
-// (and between per-component demand-driven scheduling runs on the cyclic
-// path), and the OnStage hook sees the coarse stage sequence.
+// CompileGeneralContext is CompileContext under the CompileGeneral name.
 func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Result, error) {
-	return pass.CompileGeneralContext(ctx, g, opts)
+	return pass.CompileContext(ctx, g, opts)
 }

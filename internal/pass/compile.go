@@ -6,69 +6,20 @@ import (
 	"repro/internal/sdf"
 )
 
-// Compile runs the full flow on a consistent acyclic SDF graph: the thin
-// sequential assembly of the pass graph.
+// Compile runs the full flow on a consistent SDF graph, acyclic or cyclic.
 func Compile(g *sdf.Graph, opts Options) (*Result, error) {
 	return CompileContext(context.Background(), g, opts)
 }
 
-// CompileContext is Compile with cooperative cancellation: the deadline or
-// cancellation of ctx is observed at every stage boundary, and the OnStage
-// hook (if any) sees each stage begin. A cancelled compilation returns an
-// error wrapping ctx.Err() and no Result.
+// CompileContext is Compile with cooperative cancellation: a one-point Plan
+// without a store. The deadline or cancellation of ctx is observed at every
+// stage boundary; a cancelled compilation returns an error wrapping
+// ctx.Err() and no Result. Cyclic graphs take the SCC condensation path
+// (compileCyclic).
 func CompileContext(ctx context.Context, g *sdf.Graph, opts Options) (*Result, error) {
-	if err := stageStart(ctx, opts, StageSchedule); err != nil {
-		return nil, err
-	}
-	rep, err := RunRepetitions(g)
+	outs, err := RunGridOutcomes(ctx, g, []Options{opts}, PlanConfig{})
 	if err != nil {
 		return nil, err
 	}
-	ord, err := RunOrder(g, rep, opts.Strategy, opts.Order)
-	if err != nil {
-		return nil, err
-	}
-	if err := stageStart(ctx, opts, StageLoopDP); err != nil {
-		return nil, err
-	}
-	ls, err := RunSchedule(g, rep, ord, opts.Looping)
-	if err != nil {
-		return nil, err
-	}
-	if err := stageStart(ctx, opts, StageLifetime); err != nil {
-		return nil, err
-	}
-	lf, err := RunLifetimes(rep, ls)
-	if err != nil {
-		return nil, err
-	}
-	if err := stageStart(ctx, opts, StageAlloc); err != nil {
-		return nil, err
-	}
-	allocators := defaultAllocators(opts.Allocators)
-	allocs := make([]Allocation, 0, len(allocators))
-	for _, strat := range allocators {
-		a, err := RunAlloc(lf, strat)
-		if err != nil {
-			return nil, err
-		}
-		allocs = append(allocs, a)
-	}
-	var part Partition
-	var seg SegmentedAllocation
-	if opts.Partitions >= 2 {
-		if err := stageStart(ctx, opts, StagePartition); err != nil {
-			return nil, err
-		}
-		if part, err = RunPartition(g, rep, ord, opts.Partitions); err != nil {
-			return nil, err
-		}
-		if err := stageStart(ctx, opts, StageSegments); err != nil {
-			return nil, err
-		}
-		if seg, err = RunSegAlloc(g, rep, part); err != nil {
-			return nil, err
-		}
-	}
-	return finishResult(ctx, g, opts, rep, ord.Actors, ls, lf, allocs, part, seg)
+	return outs[0].Result, outs[0].Err
 }

@@ -12,9 +12,8 @@ import (
 	"repro/internal/sim"
 )
 
-// CompileGeneral compiles an arbitrary consistent SDF graph, including
-// graphs whose precedence relation is cyclic. Acyclic graphs take the normal
-// Compile path. Cyclic graphs are handled with the classic clustering
+// compileCyclic compiles a consistent SDF graph whose precedence relation
+// is cyclic (q is its repetitions vector), with the classic clustering
 // decomposition of general SDF scheduling:
 //
 //  1. The strongly connected components of the precedence graph are
@@ -32,26 +31,11 @@ import (
 //
 // The resulting Result is expressed over the original graph. Schedules for
 // cyclic graphs are generally not single appearance (the paper's SAS theory
-// applies to the acyclic condensation).
-func CompileGeneral(g *sdf.Graph, opts Options) (*Result, error) {
-	return CompileGeneralContext(context.Background(), g, opts)
-}
-
-// CompileGeneralContext is CompileGeneral with cooperative cancellation, on
-// the same contract as CompileContext: ctx is checked at stage boundaries
-// (and between per-component demand-driven scheduling runs on the cyclic
-// path), and the OnStage hook sees the coarse stage sequence. On the cyclic
-// path the condensation's internal sub-compilation reports no stages of its
-// own; the outer call attributes its work to the schedule stage.
-func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Result, error) {
-	q, err := g.Repetitions()
-	if err != nil {
-		return nil, err
-	}
-	if g.IsAcyclic(q) {
-		return CompileContext(ctx, g, opts)
-	}
-	if err := stageStart(ctx, opts, StageSchedule); err != nil {
+// applies to the acyclic condensation). ctx is checked at the stage
+// boundaries of this path and between per-component demand-driven
+// scheduling runs.
+func compileCyclic(ctx context.Context, g *sdf.Graph, q sdf.Repetitions, opts Options) (*Result, error) {
+	if err := checkpoint(ctx, StageSchedule); err != nil {
 		return nil, err
 	}
 	if opts.Strategy == CustomOrder {
@@ -106,11 +90,9 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 	}
 
 	// Compile the acyclic condensation; verification happens below on the
-	// expanded schedule instead. The sub-compilation shares ctx but keeps
-	// its stage reporting quiet — this outer call owns the stage sequence.
+	// expanded schedule instead. The sub-compilation shares ctx.
 	sub := opts
 	sub.Verify = false
-	sub.OnStage = nil
 	// Partitioned schedules are defined over the acyclic precedence levels of
 	// the original actors, not over the SCC condensation; cyclic graphs always
 	// compile sequentially.
@@ -121,7 +103,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 	}
 
 	// Internal schedules for nontrivial components.
-	if err := stageStart(ctx, opts, StageLoopDP); err != nil {
+	if err := checkpoint(ctx, StageLoopDP); err != nil {
 		return nil, err
 	}
 	bodies := make([][]*sched.Node, len(sccs))
@@ -168,7 +150,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 	// Intervals per original edge: inter-component edges inherit the
 	// condensed lifetimes; intra-component edges become dedicated
 	// whole-period buffers sized at their simulated peak.
-	if err := stageStart(ctx, opts, StageLifetime); err != nil {
+	if err := checkpoint(ctx, StageLifetime); err != nil {
 		return nil, err
 	}
 	intervals := make([]*lifetime.Interval, g.NumEdges())
@@ -190,7 +172,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 		}
 	}
 
-	if err := stageStart(ctx, opts, StageAlloc); err != nil {
+	if err := checkpoint(ctx, StageAlloc); err != nil {
 		return nil, err
 	}
 	allocators := defaultAllocators(opts.Allocators)
@@ -234,7 +216,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 	res.Metrics.NonSharedBufMem = bm
 
 	if opts.Verify {
-		if err := stageStart(ctx, opts, StageVerify); err != nil {
+		if err := checkpoint(ctx, StageVerify); err != nil {
 			return nil, err
 		}
 		periods := opts.VerifyPeriods
@@ -245,7 +227,7 @@ func CompileGeneralContext(ctx context.Context, g *sdf.Graph, opts Options) (*Re
 			return nil, fmt.Errorf("core: cyclic verification failed: %w", err)
 		}
 	}
-	if err := stageStart(ctx, opts, StageDone); err != nil {
+	if err := checkpoint(ctx, StageDone); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -1,9 +1,10 @@
 // Edit-sequence differential property test for the persistent pass-node
 // store: a warm store must be invisible in the output. Every artifact a
 // store-assisted compile produces is compared byte-for-byte against a cold
-// direct compile of the same graph, across a long sequence of single-point
-// edits (renames, rate words, delays, new actors, reverts) that exercises
-// every invalidation boundary in the key projection table.
+// storeless one-point compile (CompileContext) of the same graph, across a
+// long sequence of single-point edits (renames, rate words, delays, new
+// actors, reverts) that exercises every invalidation boundary in the key
+// projection table.
 //
 // This lives in an external test package so it can render results through
 // internal/service's canonical artifact encoding (the byte surface clients
@@ -107,7 +108,7 @@ const editSequenceLen = 200
 
 // TestStoreEditSequenceDifferential is the correctness pin for incremental
 // recompilation: over a 200-edit sequence, store-assisted artifacts are
-// byte-identical to cold direct compilation and check.Pipeline verdicts are
+// byte-identical to cold storeless compilation and check.Pipeline verdicts are
 // unchanged. Run under -race (the CI incremental job does) to cover the
 // plan's concurrent store probes.
 func TestStoreEditSequenceDifferential(t *testing.T) {
@@ -155,19 +156,19 @@ func TestStoreEditSequenceDifferential(t *testing.T) {
 		}
 
 		for i, pt := range points {
-			direct, directErr := pass.CompileContext(ctx, g, pt.popt)
-			if (directErr == nil) != (outs[i].Err == nil) {
-				t.Fatalf("edit %d pt %d: direct err %v, store-assisted err %v", step, i, directErr, outs[i].Err)
+			cold, coldErr := pass.CompileContext(ctx, g, pt.popt)
+			if (coldErr == nil) != (outs[i].Err == nil) {
+				t.Fatalf("edit %d pt %d: cold err %v, store-assisted err %v", step, i, coldErr, outs[i].Err)
 			}
-			if directErr != nil {
-				if directErr.Error() != outs[i].Err.Error() {
-					t.Fatalf("edit %d pt %d: error text diverged: %v vs %v", step, i, directErr, outs[i].Err)
+			if coldErr != nil {
+				if coldErr.Error() != outs[i].Err.Error() {
+					t.Fatalf("edit %d pt %d: error text diverged: %v vs %v", step, i, coldErr, outs[i].Err)
 				}
 				continue
 			}
-			want, err := service.ArtifactBytes(direct, pt.wopt)
+			want, err := service.ArtifactBytes(cold, pt.wopt)
 			if err != nil {
-				t.Fatalf("edit %d pt %d: render direct: %v", step, i, err)
+				t.Fatalf("edit %d pt %d: render cold: %v", step, i, err)
 			}
 			got, err := service.ArtifactBytes(outs[i].Result, pt.wopt)
 			if err != nil {
@@ -177,13 +178,13 @@ func TestStoreEditSequenceDifferential(t *testing.T) {
 				t.Fatalf("edit %d pt %d: store-assisted artifact differs from cold compile\ncold:  %s\nwarm:  %s", step, i, want, got)
 			}
 
-			directVerdict := check.Pipeline(direct, check.Options{})
+			coldVerdict := check.Pipeline(cold, check.Options{})
 			assistedVerdict := check.Pipeline(outs[i].Result, check.Options{})
-			if (directVerdict == nil) != (assistedVerdict == nil) {
-				t.Fatalf("edit %d pt %d: check.Pipeline verdicts diverged: %v vs %v", step, i, directVerdict, assistedVerdict)
+			if (coldVerdict == nil) != (assistedVerdict == nil) {
+				t.Fatalf("edit %d pt %d: check.Pipeline verdicts diverged: %v vs %v", step, i, coldVerdict, assistedVerdict)
 			}
-			if directVerdict != nil && directVerdict.Error() != assistedVerdict.Error() {
-				t.Fatalf("edit %d pt %d: check.Pipeline verdict text diverged: %v vs %v", step, i, directVerdict, assistedVerdict)
+			if coldVerdict != nil && coldVerdict.Error() != assistedVerdict.Error() {
+				t.Fatalf("edit %d pt %d: check.Pipeline verdict text diverged: %v vs %v", step, i, coldVerdict, assistedVerdict)
 			}
 		}
 	}

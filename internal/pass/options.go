@@ -70,10 +70,11 @@ func (l LoopAlg) String() string {
 	}
 }
 
-// Options configures a compilation (one grid point). The zero value is the
-// paper's recommended configuration: RPMC ordering, SDPPO looping,
+// Options configures a compilation (one grid point). The zero value selects
+// APGAN ordering (the first OrderStrategy constant), SDPPO looping, and
 // first-fit-by-duration and first-fit-by-start allocation with the better
-// result selected.
+// result selected. sdfc and sdfd default to RPMC ordering instead, through
+// their flag and wire-option defaults.
 type Options struct {
 	Strategy OrderStrategy
 	Order    []sdf.ActorID // used only with CustomOrder
@@ -103,24 +104,14 @@ type Options struct {
 	// sequential schedule, so it is never materialized and the artifact
 	// bytes stay byte-identical to a compilation without the field.
 	Partitions int
-	// OnStage, when non-nil, is invoked at the start of every pipeline
-	// stage (the Stage* constants, in order) and once with StageDone when
-	// compilation succeeds. The hook lets callers attribute wall time to
-	// stages without putting clock reads inside the deterministic core:
-	// sdfd times the interval between consecutive calls. The hook must not
-	// influence compilation — it sees stage names only.
-	//
-	// The Plan executor ignores OnStage (shared prefix nodes belong to many
-	// grid points at once, so per-point stage sequencing is undefined
-	// there); plan observers use PlanConfig.OnEvent instead.
-	OnStage func(stage string)
 }
 
-// Pipeline stage names reported through Options.OnStage and used in
-// deadline-exceeded errors. They follow the Fig. 21 flow: the schedule stage
-// covers the repetitions vector and the topological sort, loopdp is the
-// loop-hierarchy DP, then lifetime extraction and storage allocation;
-// verify and merge fire only when the corresponding option is set.
+// Pipeline stage names used in cancellation errors ("core: aborted before
+// <stage> stage"); sdfd also labels its stage-latency histogram with the
+// pass-level ones. They follow the Fig. 21 flow: the schedule stage covers the repetitions vector and the
+// topological sort, loopdp is the loop-hierarchy DP, then lifetime
+// extraction and storage allocation; verify and merge are reached only when
+// the corresponding option is set.
 const (
 	StageSchedule  = "schedule"
 	StageLoopDP    = "loopdp"
@@ -152,7 +143,6 @@ type optionsKeyMap struct {
 	VerifyPeriods int                            // KindAssemble: per-point leaf, never shared
 	Merging       bool                           // KindAssemble: per-point leaf, never shared
 	MergePolicy   func(sdf.ActorID) merge.Policy // KindAssemble: per-point leaf, never shared
-	OnStage       func(stage string)             // observability hook, not a compilation input
 	Partitions    int                            // KindPartition key (KindSegalloc inherits it via its parent)
 }
 

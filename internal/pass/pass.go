@@ -10,10 +10,10 @@
 // (Repetitions, Order, LoopedSchedule, Lifetimes, Allocation) and a
 // deterministic content key derived from the graph digest plus the option
 // fields that pass actually reads. internal/core re-exports the public
-// compiler API (Options, Result, Compile, ...) as thin assemblies over
-// these passes.
+// compiler API (Options, Result, Compile, ...) as aliases of this package.
 //
-// The point of the decomposition is the Plan executor: grid consumers —
+// The Plan executor is the only code that sequences the passes: Compile is
+// a one-point Plan. Grid consumers —
 // the experiment drivers, the sdffuzz configuration sweep, and the sdfd
 // /v1/grid endpoint — compile one graph under many option sets, and the
 // planner deduplicates the shared pipeline prefix across grid points (q
@@ -24,8 +24,8 @@
 //
 // Everything in this package is deterministic and linted as such
 // (internal/lint's bannedcall set): compiling the same graph twice — on
-// one goroutine or many, through Compile or through a Plan — yields
-// identical results.
+// one goroutine or many, alone or as one point of a grid — yields identical
+// results.
 package pass
 
 import "fmt"

@@ -42,9 +42,9 @@ type PlanConfig struct {
 }
 
 // Outcome is one grid point's terminal state: exactly one of Result and Err
-// is non-nil. Err for a point is the same error a direct CompileContext of
-// that point would return (shared prefix nodes propagate their failure to
-// every point that depends on them).
+// is non-nil. Err for a point is the error CompileContext returns for that
+// point alone (shared prefix nodes propagate their failure to every point
+// that depends on them).
 type Outcome struct {
 	Result *Result
 	Err    error
@@ -71,25 +71,23 @@ type KindCount struct {
 // schedule, and each allocator leaf once per (lifetimes, strategy) — so a
 // full strategy × looping × allocator sweep executes O(distinct nodes)
 // passes instead of O(points × pipeline length). A Plan is single-use:
-// build with NewPlan, execute with Run once.
+// build with NewPlan, execute with Run once. CompileContext is a one-point
+// Plan.
 //
 // Graphs whose precedence relation is cyclic take a fallback: every point
-// runs CompileGeneralContext independently (the SCC condensation path has no
-// shareable prefix structure), still in parallel, with one Assemble node per
-// point.
+// runs the SCC condensation path independently (it has no shareable prefix
+// structure), still in parallel, with one Assemble node per point.
 type Plan struct {
 	g      *sdf.Graph
+	q      sdf.Repetitions
 	cfg    PlanConfig
 	points []Options
 	cyclic bool
 
-	rep        repNode
-	orders     []*orderNode
-	scheds     []*schedNode
-	lifes      []*lifeNode
-	allocs     []*allocNode
-	parts      []*partNode
-	segs       []*segNode
+	// levels holds the pass nodes by kind. Run resolves the levels in Kind
+	// order; the nodes of one level are independent of each other.
+	levels     [KindAssemble][]*node
+	naive      [KindAssemble]int
 	assemblies []*assembleNode
 }
 
@@ -111,70 +109,35 @@ func (ns nodeState) counts() (executed, loaded int) {
 	return 0, 0
 }
 
-type repNode struct {
-	key Key
-	out Repetitions
-	err error
-	nodeState
-}
+// node is one deduplicated pass node: its kind, its in-plan key, the node
+// whose artifact its pass reads (nil for repetitions; every other pass also
+// reads the repetitions vector, whose failure reaches it through the chain),
+// and the option fields of its own kind. Run fills the artifact field of the
+// node's kind, or err.
+type node struct {
+	kind   Kind
+	key    Key
+	parent *node
 
-type orderNode struct {
-	key      Key
-	strategy OrderStrategy
-	custom   []sdf.ActorID
-	out      Order
-	err      error
-	hash     []byte // payload hash chaining into the schedule store key
-	nodeState
-}
+	strategy   OrderStrategy  // KindOrder
+	custom     []sdf.ActorID  // KindOrder
+	looping    LoopAlg        // KindSchedule
+	strat      alloc.Strategy // KindAlloc
+	partitions int            // KindPartition
 
-type schedNode struct {
-	key     Key
-	order   *orderNode
-	looping LoopAlg
-	out     LoopedSchedule
-	err     error
-	hash    []byte // payload hash chaining into the lifetimes store key
-	nodeState
-}
-
-type lifeNode struct {
-	key   Key
-	sched *schedNode
-	out   Lifetimes
-	err   error
-	hash  []byte // payload hash chaining into the allocator store keys
-	nodeState
-}
-
-type allocNode struct {
-	key   Key
-	life  *lifeNode
-	strat alloc.Strategy
-	out   Allocation
-	err   error
-	nodeState
-}
-
-// partNode is the P-way phased schedule node: it depends only on the lexical
-// order (and the repetitions vector), so points sharing an order and a worker
-// count share the partition regardless of looping/allocator choices.
-type partNode struct {
-	key        Key
-	order      *orderNode
-	partitions int
-	out        Partition
-	err        error
-	hash       []byte // payload hash chaining into the segalloc store key
-	nodeState
-}
-
-// segNode packs the segmented parallel memory image; 1:1 with its partition.
-type segNode struct {
-	key  Key
-	part *partNode
-	out  SegmentedAllocation
+	rep  Repetitions
+	ord  Order
+	ls   LoopedSchedule
+	lf   Lifetimes
+	al   Allocation
+	part Partition
+	seg  SegmentedAllocation
 	err  error
+
+	storeKey string // persistent key; empty without a store
+	twin     *node  // earlier node of the same level under the same storeKey
+	data     []byte // the encoded artifact, once loaded or published
+	hash     []byte // payload hash chaining into the children's store keys
 	nodeState
 }
 
@@ -184,10 +147,9 @@ type segNode struct {
 type assembleNode struct {
 	key    Key
 	opts   Options
-	life   *lifeNode // nil on the cyclic fallback
-	allocs []*allocNode
-	part   *partNode // nil unless the point requested Partitions >= 2
-	seg    *segNode  // 1:1 with part
+	life   *node // nil on the cyclic fallback
+	allocs []*node
+	seg    *node // nil unless the point requested Partitions >= 2
 	out    *Result
 	err    error
 	nodeState
@@ -205,18 +167,14 @@ func NewPlan(g *sdf.Graph, points []Options, cfg PlanConfig) (*Plan, error) {
 	}
 	p := &Plan{g: g, cfg: cfg, points: make([]Options, len(points))}
 	copy(p.points, points)
-	// The Plan executor owns sequencing; per-point stage hooks are
-	// meaningless on shared nodes (see Options.OnStage).
-	for i := range p.points {
-		p.points[i].OnStage = nil
-	}
 
 	q, err := g.Repetitions()
 	if err != nil {
-		// The direct pipeline reports inconsistency identically at every
-		// point; surface it once at plan time.
+		// Inconsistency fails every point identically; surface it once at
+		// plan time.
 		return nil, err
 	}
+	p.q = q
 	if !g.IsAcyclic(q) {
 		p.cyclic = true
 		for i, pt := range p.points {
@@ -228,64 +186,43 @@ func NewPlan(g *sdf.Graph, points []Options, cfg PlanConfig) (*Plan, error) {
 		return p, nil
 	}
 
-	p.rep = repNode{key: repetitionsKey(cfg.GraphKey)}
-	orderIdx := map[Key]*orderNode{}
-	schedIdx := map[Key]*schedNode{}
-	lifeOf := map[*schedNode]*lifeNode{}
-	allocIdx := map[Key]*allocNode{}
-	partIdx := map[Key]*partNode{}
-	segOf := map[*partNode]*segNode{}
+	idx := map[Key]*node{}
 	for i, pt := range p.points {
+		rn := p.add(idx, node{kind: KindRepetitions, key: repetitionsKey(cfg.GraphKey)})
 		ok := orderKey(cfg.GraphKey, pt.Strategy, pt.Order)
-		on := orderIdx[ok]
-		if on == nil {
-			on = &orderNode{key: ok, strategy: pt.Strategy, custom: pt.Order}
-			orderIdx[ok] = on
-			p.orders = append(p.orders, on)
-		}
+		on := p.add(idx, node{kind: KindOrder, key: ok, parent: rn, strategy: pt.Strategy, custom: pt.Order})
 		sk := scheduleKey(ok, pt.Looping)
-		sn := schedIdx[sk]
-		if sn == nil {
-			sn = &schedNode{key: sk, order: on, looping: pt.Looping}
-			schedIdx[sk] = sn
-			p.scheds = append(p.scheds, sn)
-			ln := &lifeNode{key: lifetimesKey(sk), sched: sn}
-			lifeOf[sn] = ln
-			p.lifes = append(p.lifes, ln)
-		}
-		ln := lifeOf[sn]
+		sn := p.add(idx, node{kind: KindSchedule, key: sk, parent: on, looping: pt.Looping})
+		ln := p.add(idx, node{kind: KindLifetimes, key: lifetimesKey(sk), parent: sn})
 		as := &assembleNode{
 			key:  Key(fmt.Sprintf("assemble|%s|pt:%d", ln.key, i)),
 			opts: pt,
 			life: ln,
 		}
 		for _, strat := range defaultAllocators(pt.Allocators) {
-			ak := allocKey(ln.key, strat)
-			an := allocIdx[ak]
-			if an == nil {
-				an = &allocNode{key: ak, life: ln, strat: strat}
-				allocIdx[ak] = an
-				p.allocs = append(p.allocs, an)
-			}
-			as.allocs = append(as.allocs, an)
+			as.allocs = append(as.allocs, p.add(idx, node{kind: KindAlloc, key: allocKey(ln.key, strat), parent: ln, strat: strat}))
 		}
 		if pt.Partitions >= 2 {
 			pk := partitionKey(ok, pt.Partitions)
-			pn := partIdx[pk]
-			if pn == nil {
-				pn = &partNode{key: pk, order: on, partitions: pt.Partitions}
-				partIdx[pk] = pn
-				p.parts = append(p.parts, pn)
-				gn := &segNode{key: segallocKey(pk), part: pn}
-				segOf[pn] = gn
-				p.segs = append(p.segs, gn)
-			}
-			as.part = pn
-			as.seg = segOf[pn]
+			pn := p.add(idx, node{kind: KindPartition, key: pk, parent: on, partitions: pt.Partitions})
+			as.seg = p.add(idx, node{kind: KindSegalloc, key: segallocKey(pk), parent: pn})
 		}
 		p.assemblies = append(p.assemblies, as)
 	}
 	return p, nil
+}
+
+// add returns the plan's node under n.key, creating it from n on first use,
+// and counts one naive execution of n's kind.
+func (p *Plan) add(idx map[Key]*node, n node) *node {
+	p.naive[n.kind]++
+	if old := idx[n.key]; old != nil {
+		return old
+	}
+	nn := &n
+	idx[n.key] = nn
+	p.levels[n.kind] = append(p.levels[n.kind], nn)
+	return nn
 }
 
 // Stats reports, per pass kind, how many nodes the plan executes versus how
@@ -294,61 +231,23 @@ func NewPlan(g *sdf.Graph, points []Options, cfg PlanConfig) (*Plan, error) {
 // from the persistent store (Loaded). On the cyclic fallback there is no
 // sharing: only Assemble nodes exist and Nodes == Naive.
 func (p *Plan) Stats() []KindCount {
-	n := len(p.points)
-	asmState := func() (executed, loaded int) {
-		for _, as := range p.assemblies {
-			e, l := as.counts()
-			executed, loaded = executed+e, loaded+l
-		}
-		return
-	}
-	if p.cyclic {
-		e, l := asmState()
-		return []KindCount{{Kind: KindAssemble, Nodes: n, Naive: n, Executed: e, Loaded: l}}
-	}
-	naiveAllocs, naiveParts := 0, 0
-	for _, pt := range p.points {
-		naiveAllocs += len(defaultAllocators(pt.Allocators))
-		if pt.Partitions >= 2 {
-			naiveParts++
+	var out []KindCount
+	if !p.cyclic {
+		for k, level := range p.levels {
+			kc := KindCount{Kind: Kind(k), Nodes: len(level), Naive: p.naive[k]}
+			for _, n := range level {
+				e, l := n.counts()
+				kc.Executed, kc.Loaded = kc.Executed+e, kc.Loaded+l
+			}
+			out = append(out, kc)
 		}
 	}
-	out := []KindCount{
-		{Kind: KindRepetitions, Nodes: 1, Naive: n},
-		{Kind: KindOrder, Nodes: len(p.orders), Naive: n},
-		{Kind: KindSchedule, Nodes: len(p.scheds), Naive: n},
-		{Kind: KindLifetimes, Nodes: len(p.lifes), Naive: n},
-		{Kind: KindAlloc, Nodes: len(p.allocs), Naive: naiveAllocs},
-		{Kind: KindPartition, Nodes: len(p.parts), Naive: naiveParts},
-		{Kind: KindSegalloc, Nodes: len(p.segs), Naive: naiveParts},
-		{Kind: KindAssemble, Nodes: n, Naive: n},
+	asm := KindCount{Kind: KindAssemble, Nodes: len(p.points), Naive: len(p.points)}
+	for _, as := range p.assemblies {
+		e, l := as.counts()
+		asm.Executed, asm.Loaded = asm.Executed+e, asm.Loaded+l
 	}
-	tally := func(kc *KindCount, ns nodeState) {
-		e, l := ns.counts()
-		kc.Executed += e
-		kc.Loaded += l
-	}
-	tally(&out[0], p.rep.nodeState)
-	for _, nd := range p.orders {
-		tally(&out[1], nd.nodeState)
-	}
-	for _, nd := range p.scheds {
-		tally(&out[2], nd.nodeState)
-	}
-	for _, nd := range p.lifes {
-		tally(&out[3], nd.nodeState)
-	}
-	for _, nd := range p.allocs {
-		tally(&out[4], nd.nodeState)
-	}
-	for _, nd := range p.parts {
-		tally(&out[5], nd.nodeState)
-	}
-	for _, nd := range p.segs {
-		tally(&out[6], nd.nodeState)
-	}
-	out[7].Executed, out[7].Loaded = asmState()
-	return out
+	return append(out, asm)
 }
 
 // NodeCount returns total executed nodes and the naive execution count,
@@ -367,8 +266,7 @@ func (p *Plan) emit(k Kind, key Key, enter bool) {
 	}
 }
 
-// abortErr mirrors the stage-boundary cancellation message of the direct
-// pipeline for a node of kind k.
+// abortErr is the stage-boundary cancellation error for a node of kind k.
 func abortErr(ctx context.Context, k Kind) error {
 	stage := ""
 	switch k {
@@ -387,7 +285,7 @@ func abortErr(ctx context.Context, k Kind) error {
 	default:
 		panic(fmt.Sprintf("pass: abortErr: unknown kind %d", int(k)))
 	}
-	return fmt.Errorf("core: aborted before %s stage: %w", stage, ctx.Err())
+	return checkpoint(ctx, stage)
 }
 
 // Run executes the plan: level by level down the DAG, independent nodes of a
@@ -397,290 +295,249 @@ func abortErr(ctx context.Context, k Kind) error {
 // remaining branches still execute. Run never returns an overall error —
 // cancellation of ctx surfaces as per-point abort errors.
 func (p *Plan) Run(ctx context.Context) []Outcome {
-	if p.cyclic {
-		// The SCC condensation path has no shareable prefix structure, so the
-		// store is not consulted: every point compiles directly.
-		_ = par.ForEach(len(p.assemblies), func(i int) error {
-			as := p.assemblies[i]
-			defer p.emitOutcome(i, as)
-			p.emit(KindAssemble, as.key, true)
-			as.ran = true
-			as.out, as.err = CompileGeneralContext(ctx, p.g, as.opts)
-			p.emit(KindAssemble, as.key, false)
-			return nil
-		})
-		return p.outcomes()
-	}
-
 	// The store keys project exactly the graph fields each pass reads
 	// (store.go); the projections are computed once per run.
 	var sk *storeKeys
-	if p.cfg.Store != nil {
+	if p.cfg.Store != nil && !p.cyclic {
 		sk = newStoreKeys(p.g)
 	}
-
-	// Level 0: repetitions (single node).
-	if err := ctx.Err(); err != nil {
-		p.rep.err = abortErr(ctx, KindRepetitions)
-	} else {
-		if sk != nil {
-			if data, ok := p.cfg.Store.Get(sk.repKey()); ok {
-				if out, err := decodeRep(p.g, data); err == nil {
-					p.rep.out, p.rep.loaded = out, true
-				}
-			}
-		}
-		if !p.rep.loaded {
-			p.emit(KindRepetitions, p.rep.key, true)
-			p.rep.ran = true
-			p.rep.out, p.rep.err = RunRepetitions(p.g)
-			p.emit(KindRepetitions, p.rep.key, false)
-			if sk != nil && p.rep.err == nil {
-				p.cfg.Store.Put(sk.repKey(), encodeRep(p.rep.out))
-			}
-		}
+	// Partitions run after the allocator leaves (Kind order) to keep the
+	// first-error order of one point: alloc failures win.
+	for _, level := range p.levels {
+		p.runLevel(ctx, sk, level)
 	}
 
-	// Level 1: lexical orders.
-	_ = par.ForEach(len(p.orders), func(i int) error {
-		n := p.orders[i]
-		if p.rep.err != nil {
-			n.err = p.rep.err
-			return nil
-		}
-		if ctx.Err() != nil {
-			n.err = abortErr(ctx, KindOrder)
-			return nil
-		}
-		if sk != nil {
-			key := sk.orderKey(n.strategy, n.custom)
-			if data, ok := p.cfg.Store.Get(key); ok {
-				if out, err := decodeOrder(p.g, data); err == nil {
-					n.out, n.loaded = out, true
-					n.hash = payloadHash(data)
-					return nil
-				}
-			}
-		}
-		p.emit(KindOrder, n.key, true)
-		n.ran = true
-		n.out, n.err = RunOrder(p.g, p.rep.out, n.strategy, n.custom)
-		p.emit(KindOrder, n.key, false)
-		if sk != nil && n.err == nil {
-			data := encodeOrder(n.out)
-			n.hash = payloadHash(data)
-			p.cfg.Store.Put(sk.orderKey(n.strategy, n.custom), data)
-		}
-		return nil
-	})
-
-	// Level 2: looped schedules.
-	_ = par.ForEach(len(p.scheds), func(i int) error {
-		n := p.scheds[i]
-		if n.order.err != nil {
-			n.err = n.order.err
-			return nil
-		}
-		if ctx.Err() != nil {
-			n.err = abortErr(ctx, KindSchedule)
-			return nil
-		}
-		if sk != nil {
-			key := sk.schedKey(n.order.hash, n.looping)
-			if data, ok := p.cfg.Store.Get(key); ok {
-				if out, err := decodeSched(p.g, data); err == nil {
-					n.out, n.loaded = out, true
-					n.hash = payloadHash(data)
-					return nil
-				}
-			}
-		}
-		p.emit(KindSchedule, n.key, true)
-		n.ran = true
-		n.out, n.err = RunSchedule(p.g, p.rep.out, n.order.out, n.looping)
-		p.emit(KindSchedule, n.key, false)
-		if sk != nil && n.err == nil {
-			data := encodeSched(n.out)
-			n.hash = payloadHash(data)
-			p.cfg.Store.Put(sk.schedKey(n.order.hash, n.looping), data)
-		}
-		return nil
-	})
-
-	// Level 3: lifetimes (1:1 with schedules).
-	_ = par.ForEach(len(p.lifes), func(i int) error {
-		n := p.lifes[i]
-		if n.sched.err != nil {
-			n.err = n.sched.err
-			return nil
-		}
-		if ctx.Err() != nil {
-			n.err = abortErr(ctx, KindLifetimes)
-			return nil
-		}
-		if sk != nil {
-			key := sk.lifeKey(n.sched.hash)
-			if data, ok := p.cfg.Store.Get(key); ok {
-				if out, err := decodeLife(p.g, n.sched.out, data); err == nil {
-					n.out, n.loaded = out, true
-					n.hash = payloadHash(data)
-					return nil
-				}
-			}
-		}
-		p.emit(KindLifetimes, n.key, true)
-		n.ran = true
-		n.out, n.err = RunLifetimes(p.rep.out, n.sched.out)
-		p.emit(KindLifetimes, n.key, false)
-		if sk != nil && n.err == nil {
-			data := encodeLife(n.out)
-			n.hash = payloadHash(data)
-			p.cfg.Store.Put(sk.lifeKey(n.sched.hash), data)
-		}
-		return nil
-	})
-
-	// Level 4: allocator leaves. Many leaves read one Lifetimes artifact
-	// concurrently; RunAlloc never writes it.
-	_ = par.ForEach(len(p.allocs), func(i int) error {
-		n := p.allocs[i]
-		if n.life.err != nil {
-			n.err = n.life.err
-			return nil
-		}
-		if ctx.Err() != nil {
-			n.err = abortErr(ctx, KindAlloc)
-			return nil
-		}
-		if sk != nil {
-			key := allocStoreKey(n.life.hash, n.strat)
-			if data, ok := p.cfg.Store.Get(key); ok {
-				if out, err := decodeAlloc(n.life.out, n.strat, data); err == nil {
-					n.out, n.loaded = out, true
-					return nil
-				}
-			}
-		}
-		p.emit(KindAlloc, n.key, true)
-		n.ran = true
-		n.out, n.err = RunAlloc(n.life.out, n.strat)
-		p.emit(KindAlloc, n.key, false)
-		if sk != nil && n.err == nil {
-			if data, err := encodeAlloc(n.life.out, n.out); err == nil {
-				p.cfg.Store.Put(allocStoreKey(n.life.hash, n.strat), data)
-			}
-		}
-		return nil
-	})
-
-	// Level 4a: P-way partitions. Like schedules they depend only on the
-	// lexical order; they run after the allocator leaves to keep the
-	// sequential pipeline's first-error order (alloc failures win).
-	_ = par.ForEach(len(p.parts), func(i int) error {
-		n := p.parts[i]
-		if n.order.err != nil {
-			n.err = n.order.err
-			return nil
-		}
-		if ctx.Err() != nil {
-			n.err = abortErr(ctx, KindPartition)
-			return nil
-		}
-		if sk != nil {
-			key := partitionStoreKey(sk, n.order.hash, n.partitions)
-			if data, ok := p.cfg.Store.Get(key); ok {
-				if out, err := decodePartition(p.g, p.rep.out, n.order.out, data); err == nil {
-					n.out, n.loaded = out, true
-					n.hash = payloadHash(data)
-					return nil
-				}
-			}
-		}
-		p.emit(KindPartition, n.key, true)
-		n.ran = true
-		n.out, n.err = RunPartition(p.g, p.rep.out, n.order.out, n.partitions)
-		p.emit(KindPartition, n.key, false)
-		if sk != nil && n.err == nil {
-			data := encodePartition(n.out)
-			n.hash = payloadHash(data)
-			p.cfg.Store.Put(partitionStoreKey(sk, n.order.hash, n.partitions), data)
-		}
-		return nil
-	})
-
-	// Level 4b: segmented allocations (1:1 with partitions).
-	_ = par.ForEach(len(p.segs), func(i int) error {
-		n := p.segs[i]
-		if n.part.err != nil {
-			n.err = n.part.err
-			return nil
-		}
-		if ctx.Err() != nil {
-			n.err = abortErr(ctx, KindSegalloc)
-			return nil
-		}
-		if sk != nil {
-			key := segallocStoreKey(sk, n.part.hash)
-			if data, ok := p.cfg.Store.Get(key); ok {
-				if out, err := decodeSegalloc(p.g, p.rep.out, n.part.out, data); err == nil {
-					n.out, n.loaded = out, true
-					return nil
-				}
-			}
-		}
-		p.emit(KindSegalloc, n.key, true)
-		n.ran = true
-		n.out, n.err = RunSegAlloc(p.g, p.rep.out, n.part.out)
-		p.emit(KindSegalloc, n.key, false)
-		if sk != nil && n.err == nil {
-			p.cfg.Store.Put(segallocStoreKey(sk, n.part.hash), encodeSegalloc(n.out))
-		}
-		return nil
-	})
-
-	// Level 5: per-point assembly (verify, merge, metrics). Allocator errors
-	// are reported in the point's allocator order, matching the first-error
-	// behavior of the sequential pipeline. Assembly is never stored: its
-	// inputs include per-point options (verify, merging) and its output
+	// Per-point assembly (verify, merge, metrics). Assembly is never stored:
+	// its inputs include per-point options (verify, merging) and its output
 	// includes the graph pointer itself.
 	_ = par.ForEach(len(p.assemblies), func(i int) error {
 		as := p.assemblies[i]
 		// Every point reaches this body — upstream failures propagate into
 		// as.err here — so the deferred hook fires exactly once per point.
 		defer p.emitOutcome(i, as)
-		if as.life.err != nil {
-			as.err = as.life.err
+		if as.err = as.upstreamErr(); as.err != nil {
 			return nil
-		}
-		allocs := make([]Allocation, 0, len(as.allocs))
-		for _, an := range as.allocs {
-			if an.err != nil {
-				as.err = an.err
-				return nil
-			}
-			allocs = append(allocs, an.out)
-		}
-		var part Partition
-		var seg SegmentedAllocation
-		if as.part != nil {
-			if as.part.err != nil {
-				as.err = as.part.err
-				return nil
-			}
-			if as.seg.err != nil {
-				as.err = as.seg.err
-				return nil
-			}
-			part, seg = as.part.out, as.seg.out
 		}
 		p.emit(KindAssemble, as.key, true)
 		as.ran = true
-		as.out, as.err = finishResult(ctx, p.g, as.opts, p.rep.out,
-			as.life.sched.order.out.Actors, as.life.sched.out, as.life.out, allocs, part, seg)
+		as.out, as.err = p.assemble(ctx, as)
 		p.emit(KindAssemble, as.key, false)
 		return nil
 	})
 	return p.outcomes()
+}
+
+// runLevel resolves the nodes of one level in parallel. Nodes sharing a
+// store key (two strategies emitting the same order, two loopings the same
+// schedule) resolve in plan order: the first runs, the later ones load the
+// bytes it published, so Stats never depends on goroutine interleaving.
+func (p *Plan) runLevel(ctx context.Context, sk *storeKeys, level []*node) {
+	leaders, followers := level, []*node(nil)
+	if sk != nil {
+		leaders = nil
+		first := map[string]*node{}
+		for _, n := range level {
+			if n.parent == nil || n.parent.err == nil {
+				n.storeKey = n.storeKeyOf(sk)
+				if lead := first[n.storeKey]; lead != nil {
+					n.twin = lead
+					followers = append(followers, n)
+					continue
+				}
+				first[n.storeKey] = n
+			}
+			leaders = append(leaders, n)
+		}
+	}
+	run := func(group []*node) {
+		_ = par.ForEach(len(group), func(i int) error {
+			p.runNode(ctx, group[i])
+			return nil
+		})
+	}
+	run(leaders)
+	run(followers)
+}
+
+// runNode is the one node runner: propagate the parent's failure, honour
+// cancellation, load the artifact (from the twin's bytes or the store), or
+// run the pass and publish its encoding.
+func (p *Plan) runNode(ctx context.Context, n *node) {
+	if n.parent != nil && n.parent.err != nil {
+		n.err = n.parent.err
+		return
+	}
+	if ctx.Err() != nil {
+		n.err = abortErr(ctx, n.kind)
+		return
+	}
+	if n.storeKey != "" {
+		data, ok := []byte(nil), false
+		if n.twin != nil {
+			data, ok = n.twin.data, n.twin.data != nil
+		} else {
+			data, ok = p.cfg.Store.Get(n.storeKey)
+		}
+		if ok && p.decode(n, data) == nil {
+			n.loaded, n.data, n.hash = true, data, payloadHash(data)
+			return
+		}
+	}
+	p.emit(n.kind, n.key, true)
+	n.ran = true
+	n.err = p.exec(n)
+	p.emit(n.kind, n.key, false)
+	if n.storeKey != "" && n.err == nil {
+		if data, err := n.encode(); err == nil {
+			n.data, n.hash = data, payloadHash(data)
+			p.cfg.Store.Put(n.storeKey, data)
+		}
+	}
+}
+
+// repetitions is the artifact of the plan's single repetitions node.
+func (p *Plan) repetitions() Repetitions {
+	return p.levels[KindRepetitions][0].rep
+}
+
+// exec runs n's pass over its parent's artifact.
+func (p *Plan) exec(n *node) error {
+	var err error
+	switch n.kind {
+	case KindRepetitions:
+		// NewPlan already solved the balance equations (RunRepetitions) to
+		// tell acyclic from cyclic graphs.
+		n.rep = Repetitions{Q: p.q}
+	case KindOrder:
+		n.ord, err = RunOrder(p.g, p.repetitions(), n.strategy, n.custom)
+	case KindSchedule:
+		n.ls, err = RunSchedule(p.g, p.repetitions(), n.parent.ord, n.looping)
+	case KindLifetimes:
+		n.lf, err = RunLifetimes(p.repetitions(), n.parent.ls)
+	case KindAlloc:
+		// Many leaves read one Lifetimes artifact concurrently; RunAlloc
+		// never writes it.
+		n.al, err = RunAlloc(n.parent.lf, n.strat)
+	case KindPartition:
+		n.part, err = RunPartition(p.g, p.repetitions(), n.parent.ord, n.partitions)
+	case KindSegalloc:
+		n.seg, err = RunSegAlloc(p.g, p.repetitions(), n.parent.part)
+	default:
+		panic(fmt.Sprintf("pass: no pass node of kind %v", n.kind))
+	}
+	return err
+}
+
+// storeKeyOf is n's persistent key: its kind's projection, chained through
+// the parent's payload hash.
+func (n *node) storeKeyOf(sk *storeKeys) string {
+	switch n.kind {
+	case KindRepetitions:
+		return sk.repKey()
+	case KindOrder:
+		return sk.orderKey(n.strategy, n.custom)
+	case KindSchedule:
+		return sk.schedKey(n.parent.hash, n.looping)
+	case KindLifetimes:
+		return sk.lifeKey(n.parent.hash)
+	case KindAlloc:
+		return allocStoreKey(n.parent.hash, n.strat)
+	case KindPartition:
+		return partitionStoreKey(sk, n.parent.hash, n.partitions)
+	case KindSegalloc:
+		return segallocStoreKey(sk, n.parent.hash)
+	default:
+		panic(fmt.Sprintf("pass: no pass node of kind %v", n.kind))
+	}
+}
+
+// encode is the store payload of n's artifact.
+func (n *node) encode() ([]byte, error) {
+	switch n.kind {
+	case KindRepetitions:
+		return encodeRep(n.rep), nil
+	case KindOrder:
+		return encodeOrder(n.ord), nil
+	case KindSchedule:
+		return encodeSched(n.ls), nil
+	case KindLifetimes:
+		return encodeLife(n.lf), nil
+	case KindAlloc:
+		return encodeAlloc(n.parent.lf, n.al)
+	case KindPartition:
+		return encodePartition(n.part), nil
+	case KindSegalloc:
+		return encodeSegalloc(n.seg), nil
+	default:
+		panic(fmt.Sprintf("pass: no pass node of kind %v", n.kind))
+	}
+}
+
+// decode fills n's artifact from a store payload, validated against the
+// live graph and n's own upstream artifacts.
+func (p *Plan) decode(n *node, data []byte) error {
+	var err error
+	switch n.kind {
+	case KindRepetitions:
+		n.rep, err = decodeRep(p.g, data)
+	case KindOrder:
+		n.ord, err = decodeOrder(p.g, data)
+	case KindSchedule:
+		n.ls, err = decodeSched(p.g, data)
+	case KindLifetimes:
+		n.lf, err = decodeLife(p.g, n.parent.ls, data)
+	case KindAlloc:
+		n.al, err = decodeAlloc(n.parent.lf, n.strat, data)
+	case KindPartition:
+		n.part, err = decodePartition(p.g, p.repetitions(), n.parent.ord, data)
+	case KindSegalloc:
+		n.seg, err = decodeSegalloc(p.g, p.repetitions(), n.parent.part, data)
+	default:
+		panic(fmt.Sprintf("pass: no pass node of kind %v", n.kind))
+	}
+	return err
+}
+
+// upstreamErr is the first failure among the point's inputs, in the order a
+// point-at-a-time pipeline meets them: lifetimes, then each allocator in the
+// point's order, then the partition (which its segmented allocation
+// inherits).
+func (as *assembleNode) upstreamErr() error {
+	if as.life == nil {
+		return nil
+	}
+	if as.life.err != nil {
+		return as.life.err
+	}
+	for _, an := range as.allocs {
+		if an.err != nil {
+			return an.err
+		}
+	}
+	if as.seg != nil {
+		return as.seg.err
+	}
+	return nil
+}
+
+// assemble builds one point's Result from the shared artifacts, or runs the
+// SCC condensation path on the cyclic fallback.
+func (p *Plan) assemble(ctx context.Context, as *assembleNode) (*Result, error) {
+	if p.cyclic {
+		return compileCyclic(ctx, p.g, p.q, as.opts)
+	}
+	allocs := make([]Allocation, len(as.allocs))
+	for i, an := range as.allocs {
+		allocs[i] = an.al
+	}
+	var part Partition
+	var seg SegmentedAllocation
+	if as.seg != nil {
+		part, seg = as.seg.parent.part, as.seg.seg
+	}
+	sched := as.life.parent
+	return finishResult(ctx, p.g, as.opts, p.repetitions(),
+		sched.parent.ord.Actors, sched.ls, as.life.lf, allocs, part, seg)
 }
 
 func (p *Plan) emitOutcome(i int, as *assembleNode) {

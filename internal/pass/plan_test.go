@@ -41,6 +41,8 @@ func planGraphs() []*sdf.Graph {
 	}
 }
 
+// TestPlanMatchesDirectCompile: the shared grid plan returns, point for
+// point, the result of a one-point plan of that point alone (CompileContext).
 func TestPlanMatchesDirectCompile(t *testing.T) {
 	for _, g := range planGraphs() {
 		pts := fullGrid()
@@ -52,12 +54,12 @@ func TestPlanMatchesDirectCompile(t *testing.T) {
 			t.Fatalf("%s: %d outcomes for %d points", g.Name, len(outs), len(pts))
 		}
 		for i, o := range outs {
-			direct, derr := CompileContext(context.Background(), g, pts[i])
-			if derr != nil || o.Err != nil {
-				t.Fatalf("%s pt %d: direct err %v, planned err %v", g.Name, i, derr, o.Err)
+			single, serr := CompileContext(context.Background(), g, pts[i])
+			if serr != nil || o.Err != nil {
+				t.Fatalf("%s pt %d: one-point err %v, grid err %v", g.Name, i, serr, o.Err)
 			}
-			if !reflect.DeepEqual(direct, o.Result) {
-				t.Errorf("%s pt %d (%v/%v): planned result differs from direct compile",
+			if !reflect.DeepEqual(single, o.Result) {
+				t.Errorf("%s pt %d (%v/%v): grid result differs from the one-point plan",
 					g.Name, i, pts[i].Strategy, pts[i].Looping)
 			}
 		}
@@ -213,12 +215,12 @@ func TestPlanCyclicFallback(t *testing.T) {
 	}
 	outs := p.Run(context.Background())
 	for i, o := range outs {
-		direct, derr := CompileGeneralContext(context.Background(), g, pts[i])
-		if derr != nil || o.Err != nil {
-			t.Fatalf("pt %d: direct err %v, planned err %v", i, derr, o.Err)
+		single, serr := CompileContext(context.Background(), g, pts[i])
+		if serr != nil || o.Err != nil {
+			t.Fatalf("pt %d: one-point err %v, grid err %v", i, serr, o.Err)
 		}
-		if !reflect.DeepEqual(direct, o.Result) {
-			t.Errorf("pt %d: cyclic fallback differs from direct CompileGeneral", i)
+		if !reflect.DeepEqual(single, o.Result) {
+			t.Errorf("pt %d: cyclic fallback differs from the one-point plan", i)
 		}
 	}
 }
@@ -233,7 +235,7 @@ func TestPlanErrorPropagation(t *testing.T) {
 	}
 	_, wantErr := Compile(g, bad)
 	if wantErr == nil {
-		t.Fatal("expected direct compile of the bad point to fail")
+		t.Fatal("expected a one-point compile of the bad point to fail")
 	}
 	for _, i := range []int{0, 2} {
 		if outs[i].Err == nil || outs[i].Err.Error() != wantErr.Error() {

@@ -54,7 +54,6 @@ type storeKeyMap struct {
 	VerifyPeriods int                            // assemble-only: assembled Results are never stored
 	Merging       bool                           // assemble-only: assembled Results are never stored
 	MergePolicy   func(sdf.ActorID) merge.Policy // assemble-only: assembled Results are never stored
-	OnStage       func(stage string)             // observability hook, not a compilation input
 	Partitions    int                            // partitionStoreKey (segallocStoreKey inherits it through the chained partition hash)
 }
 

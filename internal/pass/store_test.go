@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -466,4 +467,38 @@ func buildRand(t *testing.T, rng *rand.Rand, actors int) *sdf.Graph {
 		g.AddEdge(sdf.ActorID(j), sdf.ActorID(i), q[i]/gg, q[j]/gg, 0)
 	}
 	return g
+}
+
+// TestStatsDeterminism pins Stats against scheduling: on the one-sided
+// filterbank APGAN and RPMC emit the same order and several loopings emit
+// the same schedule, so nodes of one level share a store key. Such nodes
+// must resolve in plan order (the first executes, the rest load its bytes)
+// whatever the goroutine interleaving, so every run at GOMAXPROCS 4 must
+// report the GOMAXPROCS 1 counts.
+func TestStatsDeterminism(t *testing.T) {
+	g := systems.OneSidedFilterbank(4, systems.Ratio23)
+	var pts []Options
+	for _, strat := range []OrderStrategy{APGAN, RPMC} {
+		for _, la := range []LoopAlg{SDPPOLoops, DPPOLoops, ChainPreciseLoops, FlatLoops} {
+			for _, a := range []alloc.Strategy{alloc.FirstFitDuration, alloc.FirstFitStart} {
+				pts = append(pts, Options{Strategy: strat, Looping: la, Allocators: []alloc.Strategy{a}})
+			}
+		}
+	}
+	stats := func() []KindCount {
+		p, err := NewPlan(g, pts, PlanConfig{Store: newMapStore()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		must2(p.Run(context.Background()), t)
+		return p.Stats()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := stats()
+	runtime.GOMAXPROCS(4)
+	for run := 0; run < 50; run++ {
+		if got := stats(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: Stats %+v, GOMAXPROCS 1 gave %+v", run, got, want)
+		}
+	}
 }

@@ -194,12 +194,6 @@ func ArtifactBytes(res *core.Result, opts CompileOptions) ([]byte, error) {
 // function is what makes "server response == in-process output" a
 // byte-equality assertion.
 func CompileArtifact(g *sdf.Graph, opts CompileOptions) ([]byte, *core.Result, error) {
-	return compileArtifactContext(context.Background(), g, opts, nil)
-}
-
-// compileArtifactContext is CompileArtifact with cancellation and an
-// optional per-stage hook.
-func compileArtifactContext(ctx context.Context, g *sdf.Graph, opts CompileOptions, onStage func(string)) ([]byte, *core.Result, error) {
 	norm, err := normalize(opts)
 	if err != nil {
 		return nil, nil, err
@@ -208,14 +202,13 @@ func compileArtifactContext(ctx context.Context, g *sdf.Graph, opts CompileOptio
 	if err != nil {
 		return nil, nil, err
 	}
-	copts.OnStage = onStage
-	res, err := core.CompileGeneralContext(ctx, g, copts)
+	res, err := core.CompileContext(context.Background(), g, copts)
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := json.Marshal(buildArtifact(res, norm))
+	data, err := ArtifactBytes(res, norm)
 	if err != nil {
-		return nil, nil, fmt.Errorf("service: marshal artifact: %w", err)
+		return nil, nil, err
 	}
 	return data, res, nil
 }

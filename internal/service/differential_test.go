@@ -15,11 +15,11 @@ import (
 
 // TestPlannerDifferential is the planner's property test: across hundreds of
 // random consistent acyclic graphs and the full configuration grid, the
-// prefix-sharing plan executor must produce byte-identical service artifacts
-// to point-at-a-time core.Compile, and the invariant oracle must reach the
-// same verdict on both results. Run under -race (make grid) this also
-// exercises the concurrent sharing of Lifetimes artifacts across allocator
-// leaves.
+// prefix-sharing grid plan must produce byte-identical service artifacts
+// to point-at-a-time core.Compile (a one-point plan per point), and the
+// invariant oracle must reach the same verdict on both results. Run under
+// -race (make grid) this also exercises the concurrent sharing of
+// Lifetimes artifacts across allocator leaves.
 func TestPlannerDifferential(t *testing.T) {
 	n := 200
 	if testing.Short() {
@@ -67,9 +67,9 @@ func TestPlannerDifferential(t *testing.T) {
 			t.Fatalf("trial %d: plan: %v", trial, err)
 		}
 		for pi, o := range outs {
-			direct, derr := core.Compile(g, points[pi])
+			single, derr := core.Compile(g, points[pi])
 			if (derr == nil) != (o.Err == nil) {
-				t.Fatalf("trial %d %v: direct err %v, planned err %v", trial, configs[pi], derr, o.Err)
+				t.Fatalf("trial %d %v: one-point err %v, grid err %v", trial, configs[pi], derr, o.Err)
 			}
 			if derr != nil {
 				if derr.Error() != o.Err.Error() {
@@ -78,7 +78,7 @@ func TestPlannerDifferential(t *testing.T) {
 				}
 				continue
 			}
-			wantBytes, err := ArtifactBytes(direct, wire[pi])
+			wantBytes, err := ArtifactBytes(single, wire[pi])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,16 +87,16 @@ func TestPlannerDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(wantBytes, gotBytes) {
-				t.Fatalf("trial %d %v: planned artifact differs from direct compile",
+				t.Fatalf("trial %d %v: grid artifact differs from the one-point plan",
 					trial, configs[pi])
 			}
 			// The oracle is expensive; spot-check a rotating subset instead
 			// of every (graph, point) pair.
 			if (trial+pi)%4 == 0 {
-				dv := check.Pipeline(direct, check.Options{})
+				dv := check.Pipeline(single, check.Options{})
 				pv := check.Pipeline(o.Result, check.Options{})
 				if (dv == nil) != (pv == nil) {
-					t.Fatalf("trial %d %v: oracle verdicts diverge: direct %v, planned %v",
+					t.Fatalf("trial %d %v: oracle verdicts diverge: one-point %v, grid %v",
 						trial, configs[pi], dv, pv)
 				}
 				if dv != nil {

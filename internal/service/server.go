@@ -297,8 +297,8 @@ func (s *Server) planStore() pass.Store {
 }
 
 // stageEvents adapts plan node events into the stage latency histogram for
-// the store-assisted single-compile path: each executed node's enter/leave
-// pair is timed under its stage name. Loaded nodes emit no events and so
+// single compiles: each executed node's enter/leave pair is timed under its
+// stage name. Loaded nodes emit no events and so
 // cost no observations — the histogram keeps meaning "the pipeline actually
 // did this work".
 func (s *Server) stageEvents() func(pass.Event) {
@@ -334,10 +334,9 @@ func (s *Server) countLoads(stats []pass.KindCount) {
 	}
 }
 
-// stageOfKind maps plan node kinds onto the OnStage latency vocabulary so
-// store-assisted compilations land in the same sdfd_stage_seconds series as
-// direct ones (repetitions+order together form the schedule stage; the
-// assemble node covers selection, verify, and merge).
+// stageOfKind maps plan node kinds onto the pipeline stage names that label
+// the sdfd_stage_seconds series (repetitions+order together form the
+// schedule stage; the assemble node covers selection, verify, and merge).
 func stageOfKind(k pass.Kind) string {
 	switch k {
 	case pass.KindRepetitions, pass.KindOrder:
@@ -708,16 +707,12 @@ func (s *Server) runCompileJob(key string, f *flight, g *sdf.Graph, norm Compile
 	s.flights.finish(key, f, data, err)
 }
 
-// compileArtifact runs one normalized compilation through whichever path
-// the configuration selects: with a node store, a single-point planned run
-// that probes the store before each pass and publishes after (warm stages
-// are loaded, not executed); without one, the direct pipeline. Both paths
-// render through the identical artifact encoder, so the bytes for a digest
-// do not depend on which path — or which process lifetime — produced them.
+// compileArtifact runs one normalized compilation as a single-point plan.
+// With a node store the plan probes the store before each pass and
+// publishes after (warm stages are loaded, not executed). Either way the
+// artifact renders through the one encoder, so the bytes for a digest do
+// not depend on the store — or on which process lifetime produced them.
 func (s *Server) compileArtifact(ctx context.Context, g *sdf.Graph, norm CompileOptions) ([]byte, *core.Result, error) {
-	if s.cfg.NodeStore == nil {
-		return compileArtifactContext(ctx, g, norm, s.stageTimer())
-	}
 	copts, err := coreOptions(norm)
 	if err != nil {
 		return nil, nil, err
@@ -739,25 +734,6 @@ func (s *Server) compileArtifact(ctx context.Context, g *sdf.Graph, norm Compile
 		return nil, nil, err
 	}
 	return data, outs[0].Result, nil
-}
-
-// stageTimer adapts core's OnStage hook into the per-stage latency
-// histogram: each hook call closes the previous stage's interval.
-func (s *Server) stageTimer() func(string) {
-	var (
-		last      string
-		lastStart time.Time
-	)
-	return func(stage string) {
-		now := time.Now()
-		if last != "" {
-			s.stageSeconds.With(last).Observe(now.Sub(lastStart).Seconds())
-		}
-		last, lastStart = stage, now
-		if stage == core.StageDone {
-			last = ""
-		}
-	}
 }
 
 var errVerifyFailed = errors.New("verification failed")
