@@ -63,11 +63,13 @@ incremental:
 # parallel validates the partitioned runtime under the race detector: the
 # partition/segment suites (including the 200-graph phased-vs-sequential
 # differential), the barrier and phased-engine packages (real worker
-# goroutines every period), the partition invariant oracles, and the
+# goroutines every period), the code generators (the emit fixture and the
+# threaded-C-vs-reference check gate the emitter both C backends share),
+# the partition invariant oracles, and the
 # fuzzer's partitioned grid sweep with its P=1 byte-identity check, and one
 # pass of each engine's RunPeriod benchmark so they keep compiling and running.
 parallel:
-	$(GO) test -race ./internal/partition/... ./internal/par/... ./internal/runtime/... ./internal/sim/...
+	$(GO) test -race ./internal/partition/... ./internal/par/... ./internal/runtime/... ./internal/sim/... ./internal/codegen/...
 	$(GO) test -run '^$$' -bench 'RunPeriod' -benchtime 1x ./internal/runtime/
 	$(GO) test -race -run 'TestPartition|TestPhased|TestCorrupted|TestThreaded|TestPipelineCleanPartitioned' ./internal/check/...
 	$(GO) run ./cmd/sdffuzz -n 50 -seed 2

@@ -66,6 +66,42 @@ func (a *Allocation) OffsetOf(iv *lifetime.Interval) (int64, bool) {
 	return 0, false
 }
 
+// Layout is where every edge buffer sits in one memory image: the image
+// extent plus, indexed by edge ID, each buffer's offset, size and lifetime
+// interval (the interval supplies the buffer's name). It is the one placement
+// decision the token simulator, the code generators and the runtime engines
+// read, whether a sequential allocation or a segmented one made it.
+type Layout struct {
+	Intervals []*lifetime.Interval
+	Offsets   []int64
+	Sizes     []int64
+	Total     int64
+}
+
+// NewLayout lays out a sequential allocation: intervals[e] is edge e's
+// lifetime, a must place each of them, and a buffer's size is its
+// interval's.
+func NewLayout(a *Allocation, intervals []*lifetime.Interval) (*Layout, error) {
+	at := make(map[*lifetime.Interval]int64, len(a.Placements))
+	for _, p := range a.Placements {
+		at[p.Interval] = p.Offset
+	}
+	l := &Layout{
+		Intervals: intervals,
+		Offsets:   make([]int64, len(intervals)),
+		Sizes:     make([]int64, len(intervals)),
+		Total:     a.Total,
+	}
+	for e, iv := range intervals {
+		off, ok := at[iv]
+		if !ok {
+			return nil, fmt.Errorf("edge %d interval %s not in allocation", e, iv.Name)
+		}
+		l.Offsets[e], l.Sizes[e] = off, iv.Size
+	}
+	return l, nil
+}
+
 // memRange is a half-open occupied address range [Lo, Hi).
 type memRange struct{ lo, hi int64 }
 

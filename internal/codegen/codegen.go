@@ -14,64 +14,31 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sdf"
 )
 
-// GenerateC renders the compiled system as a C translation unit.
+// GenerateC renders the compiled system as a C translation unit. It
+// returns "" when the best allocation does not place every edge.
 func GenerateC(res *core.Result) string {
+	l, err := alloc.NewLayout(res.Best, res.Intervals)
+	if err != nil {
+		return ""
+	}
 	g := res.Graph
 	var b strings.Builder
 	fmt.Fprintf(&b, "/* Generated shared-memory implementation of SDF graph %q.\n", g.Name)
 	fmt.Fprintf(&b, " * Schedule: %s\n", res.Schedule)
 	fmt.Fprintf(&b, " * Shared buffer memory: %d cells (non-shared would need %d).\n",
-		res.Best.Total, res.Metrics.NonSharedBufMem)
+		l.Total, res.Metrics.NonSharedBufMem)
 	fmt.Fprintf(&b, " */\n\n#include <stdio.h>\n\ntypedef double token_t;\n\n")
-	total := res.Best.Total
-	if total < 1 {
-		total = 1
-	}
-	fmt.Fprintf(&b, "#define MEM_SIZE %dL\nstatic token_t mem[MEM_SIZE];\n\n", total)
-
-	// Buffer map.
+	fmt.Fprintf(&b, "#define MEM_SIZE %dL\nstatic token_t mem[MEM_SIZE];\n\n", max(l.Total, 1))
 	b.WriteString("/* Edge buffers: offset and size inside the shared array. */\n")
-	for _, e := range g.Edges() {
-		iv := res.Intervals[e.ID]
-		off, ok := res.Best.OffsetOf(iv)
-		if !ok {
-			off = 0
-		}
-		fmt.Fprintf(&b, "#define E%d_OFF %dL /* %s */\n#define E%d_SIZE %dL\n#define E%d_W %dL\n",
-			e.ID, off, iv.Name, e.ID, iv.Size, e.ID, e.Words)
-		fmt.Fprintf(&b, "static long w%d, r%d;\n", e.ID, e.ID)
-	}
+	writeBuffers(&b, g, l)
 	b.WriteString("\n")
-
-	// Actor firing functions.
-	for _, a := range g.Actors() {
-		fmt.Fprintf(&b, "static void fire_%s(void) {\n", sanitize(a.Name))
-		fmt.Fprintf(&b, "    token_t acc = 0;\n")
-		for _, eid := range g.In(a.ID) {
-			e := g.Edge(eid)
-			fmt.Fprintf(&b, "    for (long i = 0; i < %d; i++) { /* consume %s */\n",
-				e.Cons, res.Intervals[eid].Name)
-			fmt.Fprintf(&b, "        acc += mem[E%d_OFF + ((r%d++) * E%d_W) %% E%d_SIZE];\n", eid, eid, eid, eid)
-			fmt.Fprintf(&b, "    }\n")
-		}
-		for _, eid := range g.Out(a.ID) {
-			e := g.Edge(eid)
-			fmt.Fprintf(&b, "    for (long i = 0; i < %d; i++) { /* produce %s */\n",
-				e.Prod, res.Intervals[eid].Name)
-			fmt.Fprintf(&b, "        mem[E%d_OFF + ((w%d++) * E%d_W) %% E%d_SIZE] = acc + (token_t)i;\n",
-				eid, eid, eid, eid)
-			fmt.Fprintf(&b, "    }\n")
-		}
-		if len(g.In(a.ID)) == 0 && len(g.Out(a.ID)) == 0 {
-			b.WriteString("    (void)acc;\n")
-		}
-		b.WriteString("}\n\n")
-	}
+	writeFires(&b, g, l, false)
 
 	// Period body from the schedule's loop structure.
 	b.WriteString("static void run_period(void) {\n")
@@ -83,16 +50,64 @@ func GenerateC(res *core.Result) string {
 
 	// Main: seed initial tokens, run periods.
 	b.WriteString("int main(void) {\n")
-	for _, e := range g.Edges() {
-		if e.Delay > 0 {
-			fmt.Fprintf(&b, "    for (long i = 0; i < %d; i++) mem[E%d_OFF + ((w%d++) * E%d_W) %% E%d_SIZE] = 0; /* delays */\n",
-				e.Delay, e.ID, e.ID, e.ID, e.ID)
-		}
-	}
+	writeDelays(&b, g)
 	b.WriteString("    for (int period = 0; period < 4; period++) run_period();\n")
 	b.WriteString("    printf(\"mem[0] = %g\\n\", (double)mem[0]);\n")
 	b.WriteString("    return 0;\n}\n")
 	return b.String()
+}
+
+// writeBuffers emits every edge's offset, size and token-width macros and
+// its write and read cursors. Both C emitters place buffers only through it.
+func writeBuffers(b *strings.Builder, g *sdf.Graph, l *alloc.Layout) {
+	for _, e := range g.Edges() {
+		fmt.Fprintf(b, "#define E%d_OFF %dL /* %s */\n#define E%d_SIZE %dL\n#define E%d_W %dL\n",
+			e.ID, l.Offsets[e.ID], l.Intervals[e.ID].Name, e.ID, l.Sizes[e.ID], e.ID, e.Words)
+		fmt.Fprintf(b, "static long w%d, r%d;\n", e.ID, e.ID)
+	}
+}
+
+// writeFires emits one fire_ function per actor: consume every input token
+// into acc, then write output token i as acc + i. With checksums each firing
+// also folds acc into the actor's check_ accumulator (threaded C). In
+// threaded C each edge's cursors are touched by exactly one worker
+// (same-phase edges are intra-worker; cross-phase access is barrier-ordered),
+// so the bodies need no locking.
+func writeFires(b *strings.Builder, g *sdf.Graph, l *alloc.Layout, checksums bool) {
+	for _, a := range g.Actors() {
+		name := sanitize(a.Name)
+		fmt.Fprintf(b, "static void fire_%s(void) {\n    token_t acc = 0;\n", name)
+		for _, eid := range g.In(a.ID) {
+			fmt.Fprintf(b, "    for (long i = 0; i < %d; i++) { /* consume %s */\n",
+				g.Edge(eid).Cons, l.Intervals[eid].Name)
+			fmt.Fprintf(b, "        acc += mem[E%d_OFF + ((r%d++) * E%d_W) %% E%d_SIZE];\n", eid, eid, eid, eid)
+			b.WriteString("    }\n")
+		}
+		for _, eid := range g.Out(a.ID) {
+			fmt.Fprintf(b, "    for (long i = 0; i < %d; i++) { /* produce %s */\n",
+				g.Edge(eid).Prod, l.Intervals[eid].Name)
+			fmt.Fprintf(b, "        mem[E%d_OFF + ((w%d++) * E%d_W) %% E%d_SIZE] = acc + (token_t)i;\n",
+				eid, eid, eid, eid)
+			b.WriteString("    }\n")
+		}
+		switch {
+		case checksums:
+			fmt.Fprintf(b, "    check_%s += acc;\n", name)
+		case len(g.In(a.ID)) == 0 && len(g.Out(a.ID)) == 0:
+			b.WriteString("    (void)acc;\n")
+		}
+		b.WriteString("}\n\n")
+	}
+}
+
+// writeDelays emits main's seeding of every edge's initial (zero) tokens.
+func writeDelays(b *strings.Builder, g *sdf.Graph) {
+	for _, e := range g.Edges() {
+		if e.Delay > 0 {
+			fmt.Fprintf(b, "    for (long i = 0; i < %d; i++) mem[E%d_OFF + ((w%d++) * E%d_W) %% E%d_SIZE] = 0; /* delays */\n",
+				e.Delay, e.ID, e.ID, e.ID, e.ID)
+		}
+	}
 }
 
 func writeLoop(b *strings.Builder, g *sdf.Graph, n *sched.Node, indent int, depth *int) {

@@ -38,11 +38,7 @@ func GenerateThreadedC(res *core.Result) string {
 		seg.Total, res.Best.Total)
 	b.WriteString(" */\n\n#include <pthread.h>\n#include <stdio.h>\n\ntypedef double token_t;\n\n")
 	fmt.Fprintf(&b, "#define WORKERS %d\n", part.P)
-	total := seg.Total
-	if total < 1 {
-		total = 1
-	}
-	fmt.Fprintf(&b, "#define MEM_SIZE %dL\nstatic token_t mem[MEM_SIZE];\n\n", total)
+	fmt.Fprintf(&b, "#define MEM_SIZE %dL\nstatic token_t mem[MEM_SIZE];\n\n", max(seg.Total, 1))
 
 	// Segment map (informational) and edge buffers at absolute offsets.
 	b.WriteString("/* Segments: private per worker, one shared region for cross-worker edges. */\n")
@@ -54,15 +50,7 @@ func GenerateThreadedC(res *core.Result) string {
 		fmt.Fprintf(&b, "/*   [%d, %d) %s */\n", s.Base, s.Base+s.Cells, owner)
 	}
 	b.WriteString("\n/* Edge buffers: absolute offset and size inside the segmented image. */\n")
-	for _, e := range g.Edges() {
-		words := e.Words
-		if words < 1 {
-			words = 1
-		}
-		fmt.Fprintf(&b, "#define E%d_OFF %dL /* %s */\n#define E%d_SIZE %dL\n#define E%d_W %dL\n",
-			e.ID, seg.Offset(e.ID), seg.Intervals[e.ID].Name, e.ID, seg.Size(e.ID), e.ID, words)
-		fmt.Fprintf(&b, "static long w%d, r%d;\n", e.ID, e.ID)
-	}
+	writeBuffers(&b, g, &seg.Layout)
 	b.WriteString("\n/* Per-actor checksums: each firing folds its input sum in. */\n")
 	for _, a := range g.Actors() {
 		fmt.Fprintf(&b, "static token_t check_%s;\n", sanitize(a.Name))
@@ -91,30 +79,7 @@ static void barrier_await(void) {
 
 `)
 
-	// Actor firing functions: GenerateC bodies plus the checksum fold. Each
-	// edge's cursors are touched by exactly one worker (same-phase edges are
-	// intra-worker; cross-phase access is barrier-ordered), so no locking.
-	for _, a := range g.Actors() {
-		fmt.Fprintf(&b, "static void fire_%s(void) {\n", sanitize(a.Name))
-		fmt.Fprintf(&b, "    token_t acc = 0;\n")
-		for _, eid := range g.In(a.ID) {
-			e := g.Edge(eid)
-			fmt.Fprintf(&b, "    for (long i = 0; i < %d; i++) { /* consume %s */\n",
-				e.Cons, seg.Intervals[eid].Name)
-			fmt.Fprintf(&b, "        acc += mem[E%d_OFF + ((r%d++) * E%d_W) %% E%d_SIZE];\n", eid, eid, eid, eid)
-			fmt.Fprintf(&b, "    }\n")
-		}
-		for _, eid := range g.Out(a.ID) {
-			e := g.Edge(eid)
-			fmt.Fprintf(&b, "    for (long i = 0; i < %d; i++) { /* produce %s */\n",
-				e.Prod, seg.Intervals[eid].Name)
-			fmt.Fprintf(&b, "        mem[E%d_OFF + ((w%d++) * E%d_W) %% E%d_SIZE] = acc + (token_t)i;\n",
-				eid, eid, eid, eid)
-			fmt.Fprintf(&b, "    }\n")
-		}
-		fmt.Fprintf(&b, "    check_%s += acc;\n", sanitize(a.Name))
-		b.WriteString("}\n\n")
-	}
+	writeFires(&b, g, &seg.Layout, true)
 
 	// One function per worker: its per-phase firing blocks, a barrier after
 	// every phase, all periods inside (the last phase's barrier separates
@@ -141,12 +106,7 @@ static void barrier_await(void) {
 	// Main: seed initial tokens, run the workers, print the checksums in
 	// actor order.
 	b.WriteString("int main(void) {\n")
-	for _, e := range g.Edges() {
-		if e.Delay > 0 {
-			fmt.Fprintf(&b, "    for (long i = 0; i < %d; i++) mem[E%d_OFF + ((w%d++) * E%d_W) %% E%d_SIZE] = 0; /* delays */\n",
-				e.Delay, e.ID, e.ID, e.ID, e.ID)
-		}
-	}
+	writeDelays(&b, g)
 	b.WriteString("    pthread_t tid[WORKERS];\n")
 	for w := 0; w < part.P; w++ {
 		fmt.Fprintf(&b, "    pthread_create(&tid[%d], 0, worker_%d, 0);\n", w, w)

@@ -33,21 +33,17 @@ type Segment struct {
 // impossible — a worker's private segment is never touched by another
 // goroutine, which is what makes the phased executors race-free.
 type SegAlloc struct {
-	// Intervals holds the phase-axis lifetime per edge (indexed by edge ID).
-	Intervals []*lifetime.Interval
+	// Layout places each edge buffer (indexed by edge ID) at its absolute
+	// offset in the combined image: segment base + first-fit placement.
+	// Intervals are the phase-axis lifetimes; Sizes are (delay + TNSE) *
+	// words, enough for the worst case of a producer's whole period
+	// completing before the consumer starts; Total is the combined image
+	// extent (sum of segment cells).
+	alloc.Layout
 	// EdgeSeg maps each edge to its index in Segments.
 	EdgeSeg []int
-	// Offsets is each edge buffer's absolute offset in the combined image
-	// (segment base + first-fit placement).
-	Offsets []int64
-	// Sizes is each edge buffer's extent in cells: (delay + TNSE) * words,
-	// enough for the worst case of a producer's whole period completing
-	// before the consumer starts.
-	Sizes []int64
 	// Segments lists worker segments 0..P-1 followed by the shared segment.
 	Segments []Segment
-	// Total is the combined image extent (sum of segment cells).
-	Total int64
 }
 
 // Offset returns the absolute offset of an edge's buffer.
@@ -108,65 +104,65 @@ func EdgeIntervals(g *sdf.Graph, q sdf.Repetitions, part *Partitioned) ([]*lifet
 	return ivs, sizes, nil
 }
 
-// Allocate packs every edge buffer into its segment by first-fit over the
-// phase-axis intervals. Intra-worker edges (both endpoints on one worker)
-// go to that worker's private segment; everything else goes to the shared
-// segment. Buffers sharing cells within a segment never overlap in phase
-// time, so with barrier-separated phases the packing is race-free.
+// segmentOf is the routing rule: an intra-worker edge (both endpoints on
+// one worker) lives in that worker's private segment, every other edge in
+// the shared segment, which comes last at index P.
+func segmentOf(part *Partitioned, e sdf.Edge) int {
+	if w := part.Assign[e.Src]; w == part.Assign[e.Dst] {
+		return w
+	}
+	return part.P
+}
+
+// ownerOf returns the worker owning segment si, or SharedWorker for the
+// shared segment.
+func ownerOf(part *Partitioned, si int) int {
+	if si == part.P {
+		return SharedWorker
+	}
+	return si
+}
+
+// Allocate packs every edge buffer into its segment (segmentOf) by
+// first-fit over the phase-axis intervals. Buffers sharing cells within a
+// segment never overlap in phase time, so with barrier-separated phases the
+// packing is race-free.
 func Allocate(g *sdf.Graph, q sdf.Repetitions, part *Partitioned) (*SegAlloc, error) {
 	ivs, sizes, err := EdgeIntervals(g, q, part)
 	if err != nil {
 		return nil, err
 	}
-	numSegs := part.P + 1
-	shared := numSegs - 1
 	edgeSeg := make([]int, g.NumEdges())
-	groups := make([][]*lifetime.Interval, numSegs)
+	edgeOf := make(map[*lifetime.Interval]sdf.EdgeID, g.NumEdges())
+	groups := make([][]*lifetime.Interval, part.P+1)
 	for _, e := range g.Edges() {
-		si := shared
-		if part.Assign[e.Src] == part.Assign[e.Dst] {
-			si = part.Assign[e.Src]
-		}
+		si := segmentOf(part, e)
 		edgeSeg[e.ID] = si
+		edgeOf[ivs[e.ID]] = e.ID
 		groups[si] = append(groups[si], ivs[e.ID])
 	}
 
-	segments := make([]Segment, numSegs)
+	segments := make([]Segment, part.P+1)
 	offsets := make([]int64, g.NumEdges())
 	var base int64
 	for si := range segments {
-		worker := si
-		if si == shared {
-			worker = SharedWorker
-		}
-		segments[si] = Segment{Worker: worker, Base: base}
+		segments[si] = Segment{Worker: ownerOf(part, si), Base: base}
 		if len(groups[si]) == 0 {
 			continue
 		}
 		a := alloc.Allocate(groups[si], alloc.FirstFitDuration)
 		segments[si].Cells = a.Total
-		for _, e := range g.Edges() {
-			if edgeSeg[e.ID] != si {
-				continue
-			}
-			off, ok := a.OffsetOf(ivs[e.ID])
-			if !ok {
-				return nil, fmt.Errorf("partition: edge %d missing from segment %d allocation", e.ID, si)
-			}
-			offsets[e.ID] = base + off
+		for _, p := range a.Placements {
+			offsets[edgeOf[p.Interval]] = base + p.Offset
 		}
 		if base, err = num.CheckedAdd(base, a.Total); err != nil {
 			return nil, fmt.Errorf("partition: segment layout: %w", err)
 		}
 	}
-
 	return &SegAlloc{
-		Intervals: ivs,
-		EdgeSeg:   edgeSeg,
-		Offsets:   offsets,
-		Sizes:     sizes,
-		Segments:  segments,
-		Total:     base,
+		Layout:   alloc.Layout{Intervals: ivs, Offsets: offsets, Sizes: sizes, Total: base},
+		EdgeSeg:  edgeSeg,
+		Segments: segments,
 	}, nil
 }
 
@@ -187,15 +183,10 @@ func RebuildSeg(g *sdf.Graph, q sdf.Repetitions, part *Partitioned, edgeSeg []in
 	if len(segments) != part.P+1 {
 		return nil, fmt.Errorf("partition: %d segments for %d workers", len(segments), part.P)
 	}
-	shared := part.P
 	var sum int64
 	for si, s := range segments {
-		wantWorker := si
-		if si == shared {
-			wantWorker = SharedWorker
-		}
-		if s.Worker != wantWorker {
-			return nil, fmt.Errorf("partition: segment %d owned by worker %d, want %d", si, s.Worker, wantWorker)
+		if want := ownerOf(part, si); s.Worker != want {
+			return nil, fmt.Errorf("partition: segment %d owned by worker %d, want %d", si, s.Worker, want)
 		}
 		if s.Base != sum || s.Cells < 0 {
 			return nil, fmt.Errorf("partition: segment %d layout (base %d, cells %d, expected base %d)",
@@ -209,10 +200,7 @@ func RebuildSeg(g *sdf.Graph, q sdf.Repetitions, part *Partitioned, edgeSeg []in
 		return nil, fmt.Errorf("partition: segment cells sum to %d, total says %d", sum, total)
 	}
 	for _, e := range g.Edges() {
-		si := shared
-		if part.Assign[e.Src] == part.Assign[e.Dst] {
-			si = part.Assign[e.Src]
-		}
+		si := segmentOf(part, e)
 		if edgeSeg[e.ID] != si {
 			return nil, fmt.Errorf("partition: edge %d routed to segment %d, want %d", e.ID, edgeSeg[e.ID], si)
 		}
@@ -223,11 +211,8 @@ func RebuildSeg(g *sdf.Graph, q sdf.Repetitions, part *Partitioned, edgeSeg []in
 		}
 	}
 	return &SegAlloc{
-		Intervals: ivs,
-		EdgeSeg:   edgeSeg,
-		Offsets:   offsets,
-		Sizes:     sizes,
-		Segments:  segments,
-		Total:     total,
+		Layout:   alloc.Layout{Intervals: ivs, Offsets: offsets, Sizes: sizes, Total: total},
+		EdgeSeg:  edgeSeg,
+		Segments: segments,
 	}, nil
 }

@@ -463,7 +463,7 @@ const maxPeriods = 1 << 16
 
 // encodeAlloc stores placements as (edge index, offset) pairs in placement
 // order: edge indices rather than interval copies, because downstream
-// consumers (the simulator's OffsetOf, assembly) compare interval POINTERS
+// consumers (alloc.NewLayout, assembly) compare interval POINTERS
 // against the Lifetimes artifact — the decode must hand back placements
 // referencing the very intervals of the plan's in-memory Lifetimes artifact.
 func encodeAlloc(lf Lifetimes, al Allocation) ([]byte, error) {

@@ -41,9 +41,7 @@ func NewPhased(res *core.Result, fires map[sdf.ActorID]Fire) (*PhasedEngine, err
 	if res.Partition == nil || res.Segmented == nil {
 		return nil, fmt.Errorf("runtime: result has no partitioned schedule (compile with Partitions >= 2)")
 	}
-	m, err := newImage(res.Graph, fires, res.Segmented.Total, func(e sdf.EdgeID) (int64, int64, bool) {
-		return res.Segmented.Offset(e), res.Segmented.Size(e), true
-	})
+	m, err := newImage(res.Graph, fires, &res.Segmented.Layout)
 	if err != nil {
 		return nil, err
 	}

@@ -6,13 +6,16 @@
 // Each edge buffer lives at its allocated offset with modulo addressing
 // (cursor arithmetic identical to the generated C), so executing a system
 // here exercises exactly the memory behaviour the paper's synthesis flow
-// commits to. Both engines fire through one core whose tables are built at
-// construction, so firings allocate nothing of their own.
+// commits to. Both engines place buffers by an alloc.Layout, the one the
+// simulator and the code generators read, and fire through one core whose
+// tables are built at construction, so firings allocate nothing of their
+// own.
 package runtime
 
 import (
 	"fmt"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/sdf"
@@ -51,12 +54,11 @@ type actorTable struct {
 	inputs    [][]float64 // reused input vectors, cns(e) each
 }
 
-// newImage builds the core over an image of total cells; place locates edges.
-func newImage(g *sdf.Graph, fires map[sdf.ActorID]Fire, total int64,
-	place func(sdf.EdgeID) (off, size int64, ok bool)) (image, error) {
+// newImage builds the core over the image an allocation's layout describes.
+func newImage(g *sdf.Graph, fires map[sdf.ActorID]Fire, l *alloc.Layout) (image, error) {
 	m := image{
 		g:      g,
-		mem:    make([]float64, total),
+		mem:    make([]float64, l.Total),
 		edges:  make([]edgeState, g.NumEdges()),
 		actors: make([]actorTable, g.NumActors()),
 	}
@@ -65,10 +67,7 @@ func newImage(g *sdf.Graph, fires map[sdf.ActorID]Fire, total int64,
 			return image{}, fmt.Errorf("runtime: edge %d uses %d-word tokens; the float64 engine supports scalar tokens only",
 				ed.ID, ed.Words)
 		}
-		off, size, ok := place(ed.ID)
-		if !ok {
-			return image{}, fmt.Errorf("runtime: edge %d has no placement", ed.ID)
-		}
+		off, size := l.Offsets[ed.ID], l.Sizes[ed.ID]
 		// Initial tokens are zeros, occupying the first del cells.
 		m.edges[ed.ID] = edgeState{buf: m.mem[off : off+size], wr: ed.Delay % size,
 			count: ed.Delay, cons: ed.Cons, prod: ed.Prod}
@@ -201,11 +200,11 @@ type Engine struct {
 // entry in fires get the default behaviour: every output token is the sum of
 // all consumed tokens (sources emit 0).
 func New(res *core.Result, fires map[sdf.ActorID]Fire) (*Engine, error) {
-	m, err := newImage(res.Graph, fires, res.Best.Total, func(e sdf.EdgeID) (int64, int64, bool) {
-		iv := res.Intervals[e]
-		off, ok := res.Best.OffsetOf(iv)
-		return off, iv.Size, ok
-	})
+	l, err := alloc.NewLayout(res.Best, res.Intervals)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	m, err := newImage(res.Graph, fires, l)
 	if err != nil {
 		return nil, err
 	}

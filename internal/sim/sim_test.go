@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/lifetime"
+	"repro/internal/partition"
 	"repro/internal/randsdf"
 	"repro/internal/sched"
 	"repro/internal/schedtree"
@@ -100,6 +101,32 @@ func TestRunDetectsClobber(t *testing.T) {
 	if !strings.Contains(err.Error(), "clobber") && !strings.Contains(err.Error(), "corrupted") {
 		t.Errorf("unexpected error kind: %v", err)
 	}
+
+	// The same two buffers in a segmented layout: A on worker 0, B and C on
+	// worker 1, so both edges are cross-worker, live together in the shared
+	// segment, and must fail once stacked on the same cells.
+	part, err := partition.Rebuild(g, q, []sdf.ActorID{a, b, c}, 2, []int{0, 1, 1}, []int{0, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := partition.Allocate(g, q, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared := seg.SharedIndex(); seg.EdgeSeg[0] != shared || seg.EdgeSeg[1] != shared {
+		t.Fatalf("edges routed to segments %v, want both shared (%d)", seg.EdgeSeg, shared)
+	}
+	if err := RunPhased(g, q, part, seg, 1); err != nil {
+		t.Fatalf("segmented layout before overlap: %v", err)
+	}
+	seg.Offsets[1] = seg.Offsets[0]
+	err = RunPhased(g, q, part, seg, 1)
+	if err == nil {
+		t.Fatal("overlapped shared-segment buffers passed the phased simulator")
+	}
+	if !strings.Contains(err.Error(), "corrupted") {
+		t.Errorf("unexpected phased error kind: %v", err)
+	}
 }
 
 func TestRunDetectsBadSchedule(t *testing.T) {
@@ -119,8 +146,9 @@ func TestRunDetectsBadSchedule(t *testing.T) {
 
 func TestRunRandomPipelines(t *testing.T) {
 	// End-to-end property: every compiled random graph must execute cleanly
-	// for several periods under both allocators. Uses flat SAS from a
-	// deterministic topological sort.
+	// for several periods under both allocators, and partitioned on two
+	// workers over its segmented layout. Uses flat SAS from a deterministic
+	// topological sort.
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 25; trial++ {
 		g := randsdf.Graph(rng, randsdf.Config{Actors: 4 + rng.Intn(10)})
@@ -149,6 +177,17 @@ func TestRunRandomPipelines(t *testing.T) {
 			if err := Run(s, q, ivs, al, 3); err != nil {
 				t.Fatalf("trial %d (%v): %v", trial, strat, err)
 			}
+		}
+		part, err := partition.Run(g, q, order, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := partition.Allocate(g, q, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := RunPhased(g, q, part, seg, 3); err != nil {
+			t.Fatalf("trial %d (P=2): %v", trial, err)
 		}
 	}
 }
