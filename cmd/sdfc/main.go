@@ -25,8 +25,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/alloc"
-	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/lifetime"
 	"repro/internal/nodestore"
@@ -74,6 +72,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	wire := service.CompileOptions{
+		Strategy:   *strategy,
+		Looping:    *loopingF,
+		Allocators: splitAllocators(*allocF),
+		Verify:     *verify,
+		Merging:    *doMerge,
+		Partitions: *partsF,
+		EmitC:      *emitC != "" || *emitTC != "",
+		EmitVHDL:   *emitVHDL != "",
+	}
+	emits := emitPaths{c: *emitC, threadedC: *emitTC, vhdl: *emitVHDL}
 	if *server != "" {
 		if *chart || *dotOut != "" {
 			fatal(fmt.Errorf("-chart and -dot are local-only; drop them or drop -server"))
@@ -81,50 +90,13 @@ func main() {
 		if *storeDir != "" {
 			fatal(fmt.Errorf("-store is local-only (the daemon has its own -store flag); drop it or drop -server"))
 		}
-		runRemote(*server, g, service.CompileOptions{
-			Strategy:   *strategy,
-			Looping:    *loopingF,
-			Allocators: splitAllocators(*allocF),
-			Verify:     *verify,
-			Merging:    *doMerge,
-			Partitions: *partsF,
-			EmitC:      *emitC != "" || *emitTC != "",
-			EmitVHDL:   *emitVHDL != "",
-		}, *emitC, *emitTC, *emitVHDL, *quiet)
+		art, serverLine := runRemote(*server, g, wire)
+		report(art, *quiet, serverLine, nil, emits)
 		return
 	}
-	opts := core.Options{Verify: *verify, Merging: *doMerge, Partitions: *partsF}
-	switch *strategy {
-	case "rpmc":
-		opts.Strategy = core.RPMC
-	case "apgan":
-		opts.Strategy = core.APGAN
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
-	}
-	switch *loopingF {
-	case "sdppo":
-		opts.Looping = core.SDPPOLoops
-	case "dppo":
-		opts.Looping = core.DPPOLoops
-	case "chain":
-		opts.Looping = core.ChainPreciseLoops
-	case "flat":
-		opts.Looping = core.FlatLoops
-	default:
-		fatal(fmt.Errorf("unknown looping %q", *loopingF))
-	}
-	for _, a := range splitAllocators(*allocF) {
-		switch a {
-		case "ffdur":
-			opts.Allocators = append(opts.Allocators, alloc.FirstFitDuration)
-		case "ffstart":
-			opts.Allocators = append(opts.Allocators, alloc.FirstFitStart)
-		case "bfdur":
-			opts.Allocators = append(opts.Allocators, alloc.BestFitDuration)
-		default:
-			fatal(fmt.Errorf("unknown allocator %q", a))
-		}
+	norm, opts, err := service.CoreOptions(wire)
+	if err != nil {
+		fatal(err)
 	}
 
 	// A nil *nodestore.Store inside the interface would defeat the plan's
@@ -145,67 +117,22 @@ func main() {
 	if outs[0].Err != nil {
 		fatal(outs[0].Err)
 	}
-	if !*quiet {
-		fmt.Printf("graph      : %s (%d actors, %d edges)\n", g.Name, g.NumActors(), g.NumEdges())
-		fmt.Printf("order      : %s + %s\n", opts.Strategy, opts.Looping)
-		fmt.Printf("schedule   : %s\n", res.Schedule)
-		fmt.Printf("bmlb       : %d\n", res.Metrics.BMLB)
-		fmt.Printf("non-shared : %d  (bufmem of this schedule, EQ 1)\n", res.Metrics.NonSharedBufMem)
-		fmt.Printf("dp estimate: %d\n", res.Metrics.DPCost)
-		fmt.Printf("mco / mcp  : %d / %d\n", res.Metrics.MCO, res.Metrics.MCP)
-		for _, kv := range sortedTotalsList(res.Metrics.AllocTotals) {
-			fmt.Printf("alloc %-7s: %d\n", kv.name, kv.total)
-		}
+	data, err := service.ArtifactBytes(res, norm)
+	if err != nil {
+		fatal(err)
 	}
+	var chartFn func()
 	if *chart {
-		fmt.Println("\nbuffer lifetimes (one column per schedule step):")
-		fmt.Print(lifetime.Chart(res.Intervals, res.Tree.TotalDur, 96))
-		fmt.Println("\nmemory map:")
-		for _, p := range res.Best.Placements {
-			fmt.Printf("  [%6d,%6d)  %s\n", p.Offset, p.Offset+p.Interval.Size, p.Interval.Name)
-		}
-	}
-	impr := 0.0
-	if res.Metrics.NonSharedBufMem > 0 {
-		impr = 100 * float64(res.Metrics.NonSharedBufMem-res.Metrics.SharedTotal) /
-			float64(res.Metrics.NonSharedBufMem)
-	}
-	fmt.Printf("shared memory: %d cells (%s), %.1f%% below non-shared\n",
-		res.Metrics.SharedTotal, res.BestBy, impr)
-	if *doMerge && res.Metrics.Merges > 0 {
-		fmt.Printf("with merging : %d cells (%d buffer pairs folded)\n",
-			res.Metrics.MergedTotal, res.Metrics.Merges)
-	}
-	if res.Partition != nil {
-		fmt.Printf("partitioned  : %d workers, %d phases/period, %d cells segmented (%.2fx sequential)\n",
-			res.Partition.P, res.Partition.NumPhases, res.Segmented.Total,
-			float64(res.Segmented.Total)/float64(max64(res.Metrics.SharedTotal, 1)))
-		for _, s := range res.Segmented.Segments {
-			owner := fmt.Sprintf("worker %d", s.Worker)
-			if s.Worker == partition.SharedWorker {
-				owner = "shared"
+		chartFn = func() {
+			fmt.Println("\nbuffer lifetimes (one column per schedule step):")
+			fmt.Print(lifetime.Chart(res.Intervals, res.Tree.TotalDur, 96))
+			fmt.Println("\nmemory map:")
+			for _, p := range res.Best.Placements {
+				fmt.Printf("  [%6d,%6d)  %s\n", p.Offset, p.Offset+p.Interval.Size, p.Interval.Name)
 			}
-			fmt.Printf("  segment [%6d,%6d)  %s\n", s.Base, s.Base+s.Cells, owner)
 		}
 	}
-
-	if *emitC != "" {
-		src := codegen.GenerateC(res)
-		if err := os.WriteFile(*emitC, []byte(src), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d bytes)\n", *emitC, len(src))
-	}
-	if *emitTC != "" {
-		src := codegen.GenerateThreadedC(res)
-		if src == "" {
-			fatal(fmt.Errorf("-emit-threaded-c needs -partitions >= 2"))
-		}
-		if err := os.WriteFile(*emitTC, []byte(src), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d bytes)\n", *emitTC, len(src))
-	}
+	report(decodeArtifact(data), *quiet, "", chartFn, emits)
 	if *dotOut != "" {
 		f, err := os.Create(*dotOut)
 		if err != nil {
@@ -218,13 +145,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *dotOut)
-	}
-	if *emitVHDL != "" {
-		src := codegen.GenerateVHDL(res)
-		if err := os.WriteFile(*emitVHDL, []byte(src), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d bytes)\n", *emitVHDL, len(src))
 	}
 }
 
@@ -239,9 +159,9 @@ func splitAllocators(s string) []string {
 	return out
 }
 
-// runRemote delegates the compilation to an sdfd daemon and prints the same
-// summary the local path does, reconstructed from the JSON artifact.
-func runRemote(addr string, g *sdf.Graph, opts service.CompileOptions, emitC, emitTC, emitVHDL string, quiet bool) {
+// runRemote delegates the compilation to an sdfd daemon, returning its
+// artifact and the server line for the summary.
+func runRemote(addr string, g *sdf.Graph, opts service.CompileOptions) (*service.Artifact, string) {
 	text, err := sdfio.CanonicalString(g)
 	if err != nil {
 		fatal(err)
@@ -251,10 +171,32 @@ func runRemote(addr string, g *sdf.Graph, opts service.CompileOptions, emitC, em
 	if err != nil {
 		fatal(err)
 	}
+	how := "compiled"
+	if resp.Cached {
+		how = "cache hit"
+	} else if resp.Coalesced {
+		how = "coalesced"
+	}
+	return decodeArtifact(resp.Artifact), fmt.Sprintf("%s, %s, digest %s", addr, how, resp.Digest)
+}
+
+func decodeArtifact(data []byte) *service.Artifact {
 	var art service.Artifact
-	if err := json.Unmarshal(resp.Artifact, &art); err != nil {
+	if err := json.Unmarshal(data, &art); err != nil {
 		fatal(fmt.Errorf("decoding artifact: %w", err))
 	}
+	return &art
+}
+
+// emitPaths are the -emit-* output files; empty skips one.
+type emitPaths struct{ c, threadedC, vhdl string }
+
+// report prints one compilation's summary and writes the requested -emit-*
+// files, all from the wire artifact. Local and -server runs both end here,
+// so the two modes print the same text for the same artifact bytes.
+// serverLine, when set, names the daemon that answered; chart, when
+// non-nil, prints the local-only lifetime chart before the memory totals.
+func report(art *service.Artifact, quiet bool, serverLine string, chart func(), emits emitPaths) {
 	if !quiet {
 		fmt.Printf("graph      : %s (%d actors, %d edges)\n", art.Graph, art.Actors, art.Edges)
 		fmt.Printf("order      : %s + %s\n", art.Options.Strategy, art.Options.Looping)
@@ -266,13 +208,12 @@ func runRemote(addr string, g *sdf.Graph, opts service.CompileOptions, emitC, em
 		for _, a := range art.Allocations {
 			fmt.Printf("alloc %-7s: %d\n", a.Allocator, a.Total)
 		}
-		cached := "compiled"
-		if resp.Cached {
-			cached = "cache hit"
-		} else if resp.Coalesced {
-			cached = "coalesced"
+		if serverLine != "" {
+			fmt.Printf("server     : %s\n", serverLine)
 		}
-		fmt.Printf("server     : %s, %s, digest %s\n", addr, cached, resp.Digest)
+	}
+	if chart != nil {
+		chart()
 	}
 	impr := 0.0
 	if art.Metrics.NonSharedBufMem > 0 {
@@ -281,14 +222,14 @@ func runRemote(addr string, g *sdf.Graph, opts service.CompileOptions, emitC, em
 	}
 	fmt.Printf("shared memory: %d cells (%s), %.1f%% below non-shared\n",
 		art.Metrics.SharedTotal, art.Best, impr)
-	if opts.Merging && art.Metrics.Merges > 0 {
+	if art.Options.Merging && art.Metrics.Merges > 0 {
 		fmt.Printf("with merging : %d cells (%d buffer pairs folded)\n",
 			art.Metrics.MergedTotal, art.Metrics.Merges)
 	}
 	if art.Partition != nil {
 		fmt.Printf("partitioned  : %d workers, %d phases/period, %d cells segmented (%.2fx sequential)\n",
 			art.Partition.Workers, art.Partition.Phases, art.Partition.ParallelTotal,
-			float64(art.Partition.ParallelTotal)/float64(max64(art.Partition.SASTotal, 1)))
+			float64(art.Partition.ParallelTotal)/float64(max(art.Partition.SASTotal, 1)))
 		for _, s := range art.Partition.Segments {
 			owner := fmt.Sprintf("worker %d", s.Worker)
 			if s.Worker == partition.SharedWorker {
@@ -297,41 +238,21 @@ func runRemote(addr string, g *sdf.Graph, opts service.CompileOptions, emitC, em
 			fmt.Printf("  segment [%6d,%6d)  %s\n", s.Base, s.Base+s.Cells, owner)
 		}
 	}
-	if emitC != "" {
-		if err := os.WriteFile(emitC, []byte(art.C), 0o644); err != nil {
+	write := func(path, src string) {
+		if path == "" {
+			return
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s (%d bytes)\n", emitC, len(art.C))
+		fmt.Printf("wrote %s (%d bytes)\n", path, len(src))
 	}
-	if emitTC != "" {
-		if art.ThreadedC == "" {
-			fatal(fmt.Errorf("-emit-threaded-c needs -partitions >= 2"))
-		}
-		if err := os.WriteFile(emitTC, []byte(art.ThreadedC), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d bytes)\n", emitTC, len(art.ThreadedC))
+	write(emits.c, art.C)
+	if emits.threadedC != "" && art.ThreadedC == "" {
+		fatal(fmt.Errorf("-emit-threaded-c needs -partitions >= 2"))
 	}
-	if emitVHDL != "" {
-		if err := os.WriteFile(emitVHDL, []byte(art.VHDL), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d bytes)\n", emitVHDL, len(art.VHDL))
-	}
-}
-
-type kv struct {
-	name  string
-	total int64
-}
-
-func sortedTotalsList(m map[string]int64) []kv {
-	out := make([]kv, 0, len(m))
-	for k, v := range m {
-		out = append(out, kv{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+	write(emits.threadedC, art.ThreadedC)
+	write(emits.vhdl, art.VHDL)
 }
 
 func loadGraph(file, system string) (*sdf.Graph, error) {
@@ -379,13 +300,6 @@ func builtinNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -21,6 +22,12 @@ import (
 // service.CompileArtifact, so any divergence means the daemon cache,
 // singleflight, or cluster routing layer corrupted a result — exactly the bug
 // class a differential fuzzer is for.
+//
+// Each graph's configurations are also posted as one /v1/grid request, first,
+// while the daemon's cache is still cold for them, so the grid batch runner
+// (entry resolution plus one shared plan) computes every entry. Each grid
+// entry must then carry the same artifact bytes, or the same error, as that
+// configuration's /v1/compile answer.
 //
 // With a comma-separated address list the replay becomes a cluster
 // differential: comparisons round-robin over the peers (so every node serves
@@ -54,13 +61,23 @@ func daemonReplay(addrList string, f *fuzzer, n int) int {
 	}
 
 	opts := wireConfigs(f.configs)
-	divergences, skipped, compared, crossFetched := 0, 0, 0, 0
+	divergences, skipped, compared, crossFetched, gridChecked := 0, 0, 0, 0, 0
 	turn := 0
 	for _, g := range graphs {
-		for _, o := range opts {
+		// Round-trip through the canonical text so both sides compile the
+		// graph the daemon actually parses.
+		text, err := sdfio.CanonicalString(g)
+		if err != nil {
+			skipped += len(opts) // unservable graph (e.g. zero edges)
+			continue
+		}
+		gridding := clients[turn%len(clients)]
+		grid, gridErr := gridding.Grid(service.GridRequest{Graph: text, Entries: opts})
+		replies := make([]reply, len(opts))
+		for k, o := range opts {
 			serving := clients[turn%len(clients)]
 			turn++
-			resp, ok, skip, err := compareOnce(serving, g, o)
+			resp, ok, skip, err := compareOnce(serving, text, o, &replies[k])
 			switch {
 			case err != nil:
 				divergences++
@@ -94,7 +111,11 @@ func daemonReplay(addrList string, f *fuzzer, n int) int {
 				crossFetched++
 			}
 		}
+		agreed, bad := checkGrid(gridding.BaseURL, g.Name, opts, grid, gridErr, replies)
+		gridChecked += agreed
+		divergences += bad
 	}
+	fmt.Printf("sdffuzz: %d grid entries agree with /v1/compile\n", gridChecked)
 	if len(clients) > 1 {
 		fmt.Printf("sdffuzz: %d comparisons identical (%d cross-fetched), %d overflow skips, %d divergences\n",
 			compared, crossFetched, skipped, divergences)
@@ -167,24 +188,26 @@ func wireConfigs(configs []check.PipelineConfig) []service.CompileOptions {
 	return out
 }
 
-// compareOnce compiles g under o both in-process and via the daemon and
-// compares outcomes. ok reports a byte-identical success pair (resp carries
-// the daemon's artifact for follow-up cross-fetches), skip an agreed-on
-// failure (overflow on extreme random rates shows up on both sides); err is
-// a divergence: exactly one side failed, or bytes differ.
-func compareOnce(client *service.Client, g *sdf.Graph, o service.CompileOptions) (resp *service.CompileResponse, ok, skip bool, err error) {
-	// Round-trip through the canonical text so both sides compile the
-	// graph the daemon actually parses.
-	text, err := sdfio.CanonicalString(g)
-	if err != nil {
-		return nil, false, true, nil // unservable graph (e.g. zero edges)
-	}
+// reply is one /v1/compile answer: the response, or the daemon's error.
+type reply struct {
+	resp *service.CompileResponse
+	err  error
+}
+
+// compareOnce compiles the canonical graph text under o both in-process and
+// via the daemon and compares outcomes, recording the daemon's answer in
+// got. ok reports a byte-identical success pair (resp carries the daemon's
+// artifact for follow-up cross-fetches), skip an agreed-on failure
+// (overflow on extreme random rates shows up on both sides); err is a
+// divergence: exactly one side failed, or bytes differ.
+func compareOnce(client *service.Client, text string, o service.CompileOptions, got *reply) (resp *service.CompileResponse, ok, skip bool, err error) {
 	local, err := sdfio.Parse(strings.NewReader(text))
 	if err != nil {
 		return nil, false, false, fmt.Errorf("canonical text does not re-parse: %w", err)
 	}
 	want, _, localErr := service.CompileArtifact(local, o)
 	resp, remoteErr := client.Compile(service.CompileRequest{Graph: text, Options: o}, false)
+	*got = reply{resp: resp, err: remoteErr}
 	switch {
 	case localErr != nil && remoteErr != nil:
 		return nil, false, true, nil
@@ -196,6 +219,61 @@ func compareOnce(client *service.Client, g *sdf.Graph, o service.CompileOptions)
 		return nil, false, false, fmt.Errorf("artifact bytes differ (digest %s)", resp.Digest)
 	}
 	return resp, true, false, nil
+}
+
+// checkGrid checks each entry of one graph's /v1/grid answer (resp, err)
+// against that configuration's /v1/compile reply: the same digest and bytes,
+// or the same structured error. Entries with no reply (the daemon was never
+// asked) are not compared. It returns the agreeing and the diverging entry
+// counts; a failed grid request diverges on every entry.
+func checkGrid(addr, name string, opts []service.CompileOptions, resp *service.GridResponse, err error, replies []reply) (agreed, bad int) {
+	if err == nil && len(resp.Results) != len(opts) {
+		err = fmt.Errorf("%d results for %d entries", len(resp.Results), len(opts))
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sdffuzz: DIVERGENCE grid on %s via %s: %v\n", name, addr, err)
+		return 0, len(opts)
+	}
+	for k, o := range opts {
+		if replies[k].resp == nil && replies[k].err == nil {
+			continue
+		}
+		why := gridMismatch(resp.Results[k], replies[k])
+		if why == "" {
+			agreed++
+			continue
+		}
+		bad++
+		fmt.Fprintf(os.Stderr, "sdffuzz: DIVERGENCE grid entry %d [%s+%s p=%d] on %s via %s: %s\n",
+			k, o.Strategy, o.Looping, o.Partitions, name, addr, why)
+	}
+	return agreed, bad
+}
+
+// gridMismatch describes how a grid entry differs from the /v1/compile
+// reply for the same configuration, or returns "" when they agree.
+func gridMismatch(got service.GridEntryResult, want reply) string {
+	if want.err != nil {
+		var apiErr *service.APIError
+		switch {
+		case !errors.As(want.err, &apiErr):
+			return fmt.Sprintf("/v1/compile failed without a structured error: %v", want.err)
+		case got.Error == nil:
+			return fmt.Sprintf("grid succeeded where /v1/compile failed: %v", want.err)
+		case *got.Error != *apiErr:
+			return fmt.Sprintf("grid error %v, /v1/compile error %v", got.Error, apiErr)
+		}
+		return ""
+	}
+	switch {
+	case got.Error != nil:
+		return fmt.Sprintf("grid failed where /v1/compile succeeded: %v", got.Error)
+	case got.Digest != want.resp.Digest:
+		return fmt.Sprintf("grid digest %s, /v1/compile digest %s", got.Digest, want.resp.Digest)
+	case string(got.Artifact) != string(want.resp.Artifact):
+		return fmt.Sprintf("artifact bytes differ (digest %s)", got.Digest)
+	}
+	return ""
 }
 
 // newReplayFuzzer builds the fuzzer state daemonReplay needs without the

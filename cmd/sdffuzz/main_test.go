@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/randsdf"
 	"repro/internal/sdf"
 	"repro/internal/sdfio"
+	"repro/internal/service"
 )
 
 // buildChain makes A -p->c- B -p->c- ... with the given per-hop rates.
@@ -150,3 +152,24 @@ type wrapErr struct{ inner error }
 
 func (w *wrapErr) Error() string { return "wrapped: " + w.inner.Error() }
 func (w *wrapErr) Unwrap() error { return w.inner }
+
+// TestDaemonReplayAgainstInProcessServer drives the -daemon replay, grid
+// check included, against an in-process sdfd: every /v1/compile answer
+// equals the in-process pipeline and every /v1/grid entry equals its
+// /v1/compile answer.
+func TestDaemonReplayAgainstInProcessServer(t *testing.T) {
+	srv := service.New(service.Config{Workers: 2})
+	ts := httptest.NewServer(srv.Handler())
+	defer srv.Close()
+	defer ts.Close()
+	if n := daemonReplay(ts.URL, newReplayFuzzer(3, 6, t.TempDir()), 3); n != 0 {
+		t.Fatalf("%d divergences", n)
+	}
+	// The grid requests ran on a cold cache, so the batch runner computed
+	// their entries rather than replaying cached /v1/compile bytes.
+	var buf strings.Builder
+	srv.Registry().WritePrometheus(&buf)
+	if !strings.Contains(buf.String(), "\nsdfd_grid_runs_total 3\n") {
+		t.Errorf("want 3 planned grid runs, metrics:\n%s", buf.String())
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/core"
+	"repro/internal/pass"
 	"repro/internal/sdf"
 )
 
@@ -173,11 +174,10 @@ func buildArtifact(res *core.Result, o CompileOptions) *Artifact {
 }
 
 // ArtifactBytes marshals an already-computed compilation result as the wire
-// artifact for normalized options opts. It is the same rendering
-// CompileArtifact performs after compiling, split out so the grid planner —
-// which produces many Results from one shared pass graph — can cache each
-// entry under the identical bytes a direct /v1/compile of that entry would
-// produce.
+// artifact for normalized options opts. Every artifact the service hands
+// out — single compiles, grid and job entries — and sdfc's local summary
+// render through it, so one digest is one byte sequence whichever path
+// computed the Result.
 func ArtifactBytes(res *core.Result, opts CompileOptions) ([]byte, error) {
 	data, err := json.Marshal(buildArtifact(res, opts))
 	if err != nil {
@@ -187,28 +187,36 @@ func ArtifactBytes(res *core.Result, opts CompileOptions) ([]byte, error) {
 }
 
 // CompileArtifact runs the in-process pipeline on g under opts and returns
-// the marshaled artifact bytes plus the compilation result. It is the
-// single code path shared by the daemon's worker jobs and by offline
-// clients that need a reference artifact to compare server responses
-// against (sdffuzz -daemon): both sides producing bytes through this one
-// function is what makes "server response == in-process output" a
+// the marshaled artifact bytes plus the compilation result. Offline clients
+// that need a reference artifact to compare server responses against
+// (sdffuzz -daemon, the service tests) use it: /v1/compile renders through
+// the same compileAndRender, only with the node store and stage events
+// attached, which is what makes "server response == in-process output" a
 // byte-equality assertion.
 func CompileArtifact(g *sdf.Graph, opts CompileOptions) ([]byte, *core.Result, error) {
-	norm, err := normalize(opts)
+	data, res, _, err := compileAndRender(context.Background(), g, opts, pass.PlanConfig{})
+	return data, res, err
+}
+
+// compileAndRender normalizes opts, compiles g as a one-point plan under
+// cfg, and renders the artifact. It also returns the plan's node stats
+// (nil when planning failed), whether or not the point compiled.
+func compileAndRender(ctx context.Context, g *sdf.Graph, opts CompileOptions, cfg pass.PlanConfig) ([]byte, *core.Result, []pass.KindCount, error) {
+	norm, copts, err := CoreOptions(opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	copts, err := coreOptions(norm)
+	p, err := pass.NewPlan(g, []core.Options{copts}, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	res, err := core.CompileContext(context.Background(), g, copts)
+	out := p.Run(ctx)[0]
+	if out.Err != nil {
+		return nil, nil, p.Stats(), out.Err
+	}
+	data, err := ArtifactBytes(out.Result, norm)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, p.Stats(), err
 	}
-	data, err := ArtifactBytes(res, norm)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, res, nil
+	return data, out.Result, p.Stats(), nil
 }

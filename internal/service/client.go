@@ -63,29 +63,38 @@ func (c *Client) do(req *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// Compile POSTs one compile request. verify=true adds ?verify=1, asking the
-// server to run the invariant oracle on the compilation.
-func (c *Client) Compile(req CompileRequest, verify bool) (*CompileResponse, error) {
-	payload, err := json.Marshal(req)
+// post sends in as the JSON body of a POST to path and decodes the 2xx
+// answer into out; what names the answer in decoding errors.
+func (c *Client) post(path string, in, out any, what string) error {
+	payload, err := json.Marshal(in)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	url := c.base() + "/v1/compile"
-	if verify {
-		url += "?verify=1"
-	}
-	httpReq, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(payload))
+	httpReq, err := http.NewRequest(http.MethodPost, c.base()+path, bytes.NewReader(payload))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
 	body, err := c.do(httpReq)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("sdfd: decoding %s: %w", what, err)
+	}
+	return nil
+}
+
+// Compile POSTs one compile request. verify=true adds ?verify=1, asking the
+// server to run the invariant oracle on the compilation.
+func (c *Client) Compile(req CompileRequest, verify bool) (*CompileResponse, error) {
+	path := "/v1/compile"
+	if verify {
+		path += "?verify=1"
 	}
 	var out CompileResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("sdfd: decoding compile response: %w", err)
+	if err := c.post(path, req, &out, "compile response"); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }

@@ -216,45 +216,50 @@ func (cn *clusterNode) fetchArtifact(ctx context.Context, digest string) ([]byte
 	return nil, "", false
 }
 
-// postCompile sends one already-canonicalized compile request to a peer
-// with the forwarded marker set, returning the peer's decoded response or
-// its structured error.
-func (cn *clusterNode) postCompile(ctx context.Context, peer, canonical string, norm CompileOptions) (*CompileResponse, error) {
+// forwardCompile POSTs one already-canonicalized compile request to peer
+// with the forwarded marker set — the one request builder behind job
+// dispatch and synchronous proxying — and returns the peer's status and
+// body.
+func (cn *clusterNode) forwardCompile(ctx context.Context, peer, canonical string, norm CompileOptions) (int, []byte, error) {
 	payload, err := json.Marshal(CompileRequest{Graph: canonical, Options: norm})
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		cluster.BaseURL(peer)+"/v1/compile", bytes.NewReader(payload))
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(forwardedHeader, cn.cfg.Self)
 	resp, err := cn.http().Do(req)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	if resp.StatusCode/100 != 2 {
-		return nil, decodeError(resp.StatusCode, body)
-	}
-	var out CompileResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("sdfd: decoding peer compile response: %w", err)
-	}
-	return &out, nil
+	return resp.StatusCode, body, nil
+}
+
+// definitive reports whether a peer's compile status is a final answer: a
+// success, or a client-side verdict (bad options, infeasible point) that
+// the deterministic pipeline would repeat on retry and on local fallback
+// alike. Shedding (429), deadlines (408) and 5xx are not.
+func definitive(status int) bool {
+	return status/100 == 2 ||
+		(status/100 == 4 && status != http.StatusTooManyRequests && status != http.StatusRequestTimeout)
 }
 
 // compileRemote drives one job entry's remote dispatch: re-evaluate the
 // effective owner each attempt (so a peer dying mid-job rehashes the entry,
 // possibly back to self), post the compile, and back off between failures.
 // ok=false means the caller must compile locally — either the entry
-// rehashed home or every attempt failed (graceful degradation).
+// rehashed home, the peer gave a definitive failure (recomputed locally
+// without retries to produce the same classified error), or every attempt
+// failed (graceful degradation).
 func (cn *clusterNode) compileRemote(ctx context.Context, canonical string, norm CompileOptions, digest string) (data []byte, peer string, ok bool) {
 	bo := cluster.NewBackoff(cn.cfg.RetryMin, cn.cfg.RetryMax, cn.cfg.Seed)
 	for attempt := 0; attempt < cn.cfg.PeerAttempts; attempt++ {
@@ -262,19 +267,16 @@ func (cn *clusterNode) compileRemote(ctx context.Context, canonical string, norm
 		if owner == cn.cfg.Self {
 			return nil, "", false
 		}
-		resp, err := cn.postCompile(ctx, owner, canonical, norm)
-		if err == nil {
-			cn.peerReqs.With(owner, "ok").Inc()
-			return resp.Artifact, owner, true
+		status, body, err := cn.forwardCompile(ctx, owner, canonical, norm)
+		if err == nil && status/100 == 2 {
+			var resp CompileResponse
+			if err = json.Unmarshal(body, &resp); err == nil {
+				cn.peerReqs.With(owner, "ok").Inc()
+				return resp.Artifact, owner, true
+			}
 		}
 		cn.peerReqs.With(owner, "error").Inc()
-		// Definitive peer-side verdicts (bad options, infeasible point)
-		// would recur identically on retry AND on local fallback — the
-		// pipeline is deterministic — so recompute locally without retries
-		// to produce the same classified error.
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && apiErr.Status < 500 &&
-			apiErr.Status != http.StatusTooManyRequests && apiErr.Status != http.StatusRequestTimeout {
+		if err == nil && definitive(status) {
 			return nil, "", false
 		}
 		if attempt+1 < cn.cfg.PeerAttempts {
@@ -301,39 +303,15 @@ func (cn *clusterNode) proxyCompile(w http.ResponseWriter, r *http.Request, owne
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	payload, err := json.Marshal(CompileRequest{Graph: canonical, Options: norm})
-	if err != nil {
-		return false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		cluster.BaseURL(owner)+"/v1/compile", bytes.NewReader(payload))
-	if err != nil {
-		return false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardedHeader, cn.cfg.Self)
-	resp, err := cn.http().Do(req)
-	if err != nil {
-		cn.peerReqs.With(owner, "error").Inc()
-		return false
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		cn.peerReqs.With(owner, "error").Inc()
-		return false
-	}
-	definitive := resp.StatusCode/100 == 2 ||
-		(resp.StatusCode/100 == 4 &&
-			resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusRequestTimeout)
-	if !definitive {
+	status, body, err := cn.forwardCompile(ctx, owner, canonical, norm)
+	if err != nil || !definitive(status) {
 		cn.peerReqs.With(owner, "error").Inc()
 		return false
 	}
 	cn.peerReqs.With(owner, "ok").Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(servedByHeader, owner)
-	w.WriteHeader(resp.StatusCode)
+	w.WriteHeader(status)
 	_, _ = w.Write(body)
 	return true
 }

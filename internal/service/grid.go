@@ -1,17 +1,14 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
+	"repro/internal/core"
 	"repro/internal/pass"
 	"repro/internal/sdf"
-	"repro/internal/sdfio"
 )
 
 // GridRequest is the body of POST /v1/grid: one graph compiled across many
@@ -55,22 +52,9 @@ type GridResponse struct {
 // cap — returning the request, the canonical graph text, and the parsed
 // graph.
 func (s *Server) parseGridRequest(w http.ResponseWriter, r *http.Request, maxEntries int) (*GridRequest, string, *sdf.Graph, *APIError) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
 	var req GridRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, "", nil, &APIError{
-				Status: http.StatusRequestEntityTooLarge, Reason: "too_large",
-				Message: fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxRequestBytes),
-			}
-		}
-		return nil, "", nil, &APIError{
-			Status: http.StatusBadRequest, Reason: "bad_request",
-			Message: fmt.Sprintf("decoding request: %v", err),
-		}
+	if apiErr := s.decodeRequest(w, r, &req); apiErr != nil {
+		return nil, "", nil, apiErr
 	}
 	if len(req.Entries) == 0 {
 		return nil, "", nil, &APIError{
@@ -84,225 +68,190 @@ func (s *Server) parseGridRequest(w http.ResponseWriter, r *http.Request, maxEnt
 			Message: fmt.Sprintf("grid request has %d entries, limit is %d", len(req.Entries), maxEntries),
 		}
 	}
-	canonical, err := sdfio.Canonicalize(req.Graph)
-	if err != nil {
-		return nil, "", nil, &APIError{
-			Status: http.StatusBadRequest, Reason: "bad_request",
-			Message: fmt.Sprintf("parsing graph: %v", err),
-		}
-	}
-	g, err := sdfio.Parse(strings.NewReader(canonical))
-	if err != nil {
-		return nil, "", nil, &APIError{
-			Status: http.StatusInternalServerError, Reason: "bad_request",
-			Message: fmt.Sprintf("re-parsing canonical graph: %v", err),
-		}
+	canonical, g, apiErr := canonicalGraph(req.Graph)
+	if apiErr != nil {
+		return nil, "", nil, apiErr
 	}
 	return &req, canonical, g, nil
 }
 
-// handleGrid compiles one graph across every entry's option set. Request-
-// level failures (unparseable graph, too many entries, admission shedding,
-// request deadline) produce a non-2xx envelope; per-entry compile failures
-// land inside the 200 response. Artifacts are cached under the same digests
-// POST /v1/compile uses, so a grid request warms the single-compile cache
-// and vice versa.
-func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.shed.With("shutting_down").Inc()
-		s.writeError(w, &APIError{
-			Status: http.StatusServiceUnavailable, Reason: "shutting_down",
-			Message:           "server is shutting down",
-			RetryAfterSeconds: s.retryAfterSeconds(),
-		})
-		return
-	}
-	reqp, canonical, g, apiErr := s.parseGridRequest(w, r, s.cfg.GridMaxEntries)
-	if apiErr != nil {
-		s.writeError(w, apiErr)
-		return
-	}
-	req := *reqp
+// batchMiss is one deduplicated digest a grid batch must compile, and the
+// entry indices waiting on it.
+type batchMiss struct {
+	norm    CompileOptions
+	opts    core.Options
+	digest  string
+	entries []int
+}
 
-	// Per-entry normalization and cache probing. Misses dedup by digest:
-	// identical entries compile once and share bytes.
-	results := make([]GridEntryResult, len(req.Entries))
-	type miss struct {
-		norm    CompileOptions
-		digest  string
-		entries []int // request indices sharing this digest
-	}
+// settleFunc records entry i's terminal result: an artifact (Digest set) or
+// a structured error. /v1/grid writes it into the response by index; a job
+// completes its entry.
+type settleFunc func(i int, r GridEntryResult)
+
+// resolveEntries is the front half of every grid batch (POST /v1/grid and
+// async jobs): normalize each entry, settle bad options and cache hits at
+// once, and dedup the remaining misses by digest so identical entries
+// compile once and share bytes.
+func (s *Server) resolveEntries(canonical string, entries []CompileOptions, settle settleFunc) []*batchMiss {
 	var (
-		misses  []*miss
-		missFor = map[string]*miss{}
+		misses  []*batchMiss
+		missFor = map[string]*batchMiss{}
 	)
-	for i, entry := range req.Entries {
-		norm, err := normalize(entry)
+	for i, entry := range entries {
+		norm, opts, err := CoreOptions(entry)
 		if err != nil {
-			results[i] = GridEntryResult{Error: &APIError{
+			settle(i, GridEntryResult{Error: &APIError{
 				Status: http.StatusBadRequest, Reason: "bad_request",
 				Message: fmt.Sprintf("options: %v", err),
-			}}
+			}})
 			continue
 		}
 		digest := Digest(canonical, norm)
 		if data, ok := s.cache.get(digest); ok {
 			s.cacheHits.Inc()
-			results[i] = GridEntryResult{Digest: digest, Cached: true, Artifact: data}
+			settle(i, GridEntryResult{Digest: digest, Cached: true, Artifact: data})
 			continue
 		}
 		s.cacheMisses.Inc()
 		m := missFor[digest]
 		if m == nil {
-			m = &miss{norm: norm, digest: digest}
+			m = &batchMiss{norm: norm, opts: opts, digest: digest}
 			missFor[digest] = m
 			misses = append(misses, m)
 		}
 		m.entries = append(m.entries, i)
 	}
+	return misses
+}
 
-	plannedNodes, naiveNodes := 0, 0
-	if len(misses) > 0 {
-		points := make([]pass.Options, len(misses))
-		for i, m := range misses {
-			copts, err := coreOptions(m.norm)
-			if err != nil {
-				// normalize already vetted every enum spelling.
-				s.writeError(w, &APIError{
-					Status: http.StatusInternalServerError, Reason: "bad_request",
-					Message: fmt.Sprintf("normalized options failed to convert: %v", err),
-				})
-				return
-			}
-			points[i] = copts
+// runBatch is the back half of every grid batch: it compiles the misses as
+// one prefix-shared plan on the caller's goroutine and, the moment a miss's
+// pass leaf finishes (OnOutcome), caches its artifact and settles every
+// entry behind it — so job pollers see progress while the plan still runs.
+// A plan-time error (e.g. an inconsistent graph) or a panic anywhere in the
+// passes settles every miss not yet settled with one classified error,
+// exactly as a per-entry /v1/compile would report it. It returns the
+// plan's node counts, zero when no plan ran.
+func (s *Server) runBatch(g *sdf.Graph, canonical string, misses []*batchMiss, settle settleFunc) (planned, naive int) {
+	if len(misses) == 0 {
+		return 0, 0
+	}
+	// Points settle concurrently but each exactly once, so the flags need
+	// no lock; they are read only after the plan's workers have drained.
+	settled := make([]bool, len(misses))
+	settleMiss := func(mi int, r GridEntryResult) {
+		for _, i := range misses[mi].entries {
+			settle(i, r)
 		}
-
-		type gridRun struct {
-			outs  []pass.Outcome
-			stats []pass.KindCount
-			err   error
-		}
-		done := make(chan gridRun, 1)
-		job := func() {
-			if s.testHookCompileStart != nil {
-				s.testHookCompileStart()
-			}
-			ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.CompileTimeout)
-			defer cancel()
-			s.gridRuns.Inc()
-			// With a node store, loaded nodes emit no events, so
-			// sdfd_grid_pass_nodes_total keeps counting only pass work that
-			// actually executed; store reuse shows up in
-			// sdfd_nodestore_loads_total instead.
-			plan, err := pass.NewPlan(g, points, pass.PlanConfig{
-				GraphKey: Digest(canonical, CompileOptions{}),
-				Store:    s.planStore(),
-				OnEvent: func(e pass.Event) {
-					if e.Enter {
-						s.gridNodes.With(e.Kind.String()).Inc()
-					}
-				},
-			})
-			if err != nil {
-				done <- gridRun{err: err}
-				return
-			}
-			outs := plan.Run(ctx)
-			s.countLoads(plan.Stats())
-			done <- gridRun{outs: outs, stats: plan.Stats()}
-		}
-		if err := s.pool.TrySubmit(job); err != nil {
-			s.writeError(w, s.classifyCompileError(err))
-			return
-		}
-
-		ctx := r.Context()
-		if s.cfg.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-			defer cancel()
-		}
-		var run gridRun
-		select {
-		case run = <-done:
-		case <-ctx.Done():
-			s.shed.With("deadline").Inc()
-			s.writeError(w, &APIError{
-				Status: http.StatusRequestTimeout, Reason: "deadline",
-				Message: fmt.Sprintf("request deadline expired after %v while waiting for the grid compilation", s.cfg.RequestTimeout),
-			})
-			return
-		}
-
-		switch {
-		case run.err != nil:
-			// Plan-time failure (e.g. an inconsistent graph) affects every
-			// pending entry identically, exactly as a per-entry compile would.
-			apiErr := s.classifyCompileError(run.err)
-			for _, m := range misses {
-				for _, i := range m.entries {
-					results[i] = GridEntryResult{Error: apiErr}
-				}
-			}
-		default:
-			for _, kc := range run.stats {
-				plannedNodes += kc.Nodes
-				naiveNodes += kc.Naive
-			}
-			if saved := naiveNodes - plannedNodes; saved > 0 {
-				s.gridSaved.Add(float64(saved))
-			}
-			for mi, m := range misses {
-				o := run.outs[mi]
-				if o.Err != nil {
-					apiErr := s.classifyCompileError(o.Err)
-					for _, i := range m.entries {
-						results[i] = GridEntryResult{Error: apiErr}
-					}
-					continue
-				}
-				data, err := ArtifactBytes(o.Result, m.norm)
-				if err != nil {
-					apiErr := s.classifyCompileError(err)
-					for _, i := range m.entries {
-						results[i] = GridEntryResult{Error: apiErr}
-					}
-					continue
-				}
-				s.cache.put(m.digest, data)
-				for _, i := range m.entries {
-					results[i] = GridEntryResult{Digest: m.digest, Artifact: data}
-				}
+		settled[mi] = true
+	}
+	fail := func(err error) {
+		apiErr := s.classifyCompileError(err)
+		for mi := range misses {
+			if !settled[mi] {
+				settleMiss(mi, GridEntryResult{Error: apiErr})
 			}
 		}
 	}
-
-	s.writeJSON(w, http.StatusOK, &GridResponse{
-		Results:      results,
-		PlannedNodes: plannedNodes,
-		NaiveNodes:   naiveNodes,
+	defer func() {
+		if r := recover(); r != nil {
+			fail(fmt.Errorf("service: pipeline panic: %v", r))
+		}
+	}()
+	if s.testHookCompileStart != nil {
+		s.testHookCompileStart()
+	}
+	points := make([]core.Options, len(misses))
+	for i, m := range misses {
+		points[i] = m.opts
+	}
+	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.CompileTimeout)
+	defer cancel()
+	s.gridRuns.Inc()
+	// With a node store, loaded nodes emit no events, so
+	// sdfd_grid_pass_nodes_total keeps counting only pass work that actually
+	// executed; store reuse shows up in sdfd_nodestore_loads_total instead.
+	plan, err := pass.NewPlan(g, points, pass.PlanConfig{
+		GraphKey: Digest(canonical, CompileOptions{}),
+		Store:    s.planStore(),
+		OnEvent: func(e pass.Event) {
+			if e.Enter {
+				s.gridNodes.With(e.Kind.String()).Inc()
+			}
+		},
+		OnOutcome: func(mi int, o pass.Outcome) {
+			m := misses[mi]
+			err := o.Err
+			var data []byte
+			if err == nil {
+				data, err = ArtifactBytes(o.Result, m.norm)
+			}
+			if err != nil {
+				settleMiss(mi, GridEntryResult{Error: s.classifyCompileError(err)})
+				return
+			}
+			s.cache.put(m.digest, data)
+			settleMiss(mi, GridEntryResult{Digest: m.digest, Artifact: data})
+		},
 	})
+	if err != nil {
+		fail(err)
+		return 0, 0
+	}
+	plan.Run(ctx)
+	stats := plan.Stats()
+	s.countLoads(stats)
+	for _, kc := range stats {
+		planned += kc.Nodes
+		naive += kc.Naive
+	}
+	if saved := naive - planned; saved > 0 {
+		s.gridSaved.Add(float64(saved))
+	}
+	return planned, naive
+}
+
+// handleGrid compiles one graph across every entry's option set: the
+// resolver settles option errors and cache hits, and the misses run as one
+// batch on the admission pool. Request-level failures (unparseable graph,
+// too many entries, admission shedding, request deadline) produce a non-2xx
+// envelope; per-entry compile failures land inside the 200 response.
+// Artifacts are cached under the same digests POST /v1/compile uses, so a
+// grid request warms the single-compile cache and vice versa — also when
+// the request itself has already answered 408.
+func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
+	req, canonical, g, apiErr := s.parseGridRequest(w, r, s.cfg.GridMaxEntries)
+	if apiErr != nil {
+		s.writeError(w, apiErr)
+		return
+	}
+	out := &GridResponse{Results: make([]GridEntryResult, len(req.Entries))}
+	settle := func(i int, res GridEntryResult) { out.Results[i] = res }
+	if misses := s.resolveEntries(canonical, req.Entries, settle); len(misses) > 0 {
+		done := make(chan struct{})
+		batch := func() {
+			defer close(done)
+			out.PlannedNodes, out.NaiveNodes = s.runBatch(g, canonical, misses, settle)
+		}
+		if err := s.pool.TrySubmit(batch); err != nil {
+			s.writeError(w, s.classifyCompileError(err))
+			return
+		}
+		if apiErr := s.awaitWork(r, done, "the grid compilation"); apiErr != nil {
+			s.writeError(w, apiErr)
+			return
+		}
+	}
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 // Grid POSTs one grid request: one graph compiled across many option sets
 // in a single planned, prefix-shared run.
 func (c *Client) Grid(req GridRequest) (*GridResponse, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	httpReq, err := http.NewRequest(http.MethodPost, c.base()+"/v1/grid", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	body, err := c.do(httpReq)
-	if err != nil {
-		return nil, err
-	}
 	var out GridResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("sdfd: decoding grid response: %w", err)
+	if err := c.post("/v1/grid", req, &out, "grid response"); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }

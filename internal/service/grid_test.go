@@ -6,7 +6,9 @@ import (
 	"errors"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/systems"
 )
@@ -186,5 +188,63 @@ func TestGridArtifactRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(fetched, res.Artifact) {
 		t.Error("GET /v1/artifact bytes differ from grid response")
+	}
+}
+
+// TestGridAndJobSurvivePipelinePanic: a panic inside a pipeline run,
+// injected through the compile-start hook, fails only the work it hit —
+// with a compile_failed "pipeline panic" error on every affected entry —
+// instead of taking the daemon down, and the server keeps compiling.
+func TestGridAndJobSurvivePipelinePanic(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	var panicking atomic.Bool
+	panicking.Store(true)
+	ts.srv.testHookCompileStart = func() {
+		if panicking.Load() {
+			panic("injected pass failure")
+		}
+	}
+	text := graphText(t, systems.CDDAT())
+	entries := []CompileOptions{{}, {Strategy: "apgan"}, {}}
+	isPanic := func(e *APIError) bool {
+		return e != nil && e.Reason == "compile_failed" && strings.Contains(e.Message, "pipeline panic")
+	}
+
+	grid, err := ts.cl.Grid(GridRequest{Graph: text, Entries: entries})
+	if err != nil {
+		t.Fatalf("grid with a panicking pipeline: %v, want 200", err)
+	}
+	for i, res := range grid.Results {
+		if !isPanic(res.Error) {
+			t.Errorf("grid entry %d: %+v, want compile_failed pipeline panic", i, res.Error)
+		}
+	}
+
+	job, err := ts.cl.SubmitGridJob(GridRequest{Graph: text, Entries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := ts.cl.AwaitJob(job.ID, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != JobStateDone || fin.Completed != len(entries) || fin.Failed != len(entries) {
+		t.Fatalf("job %+v, want done with every entry failed", fin)
+	}
+	for _, res := range fin.Results {
+		if !isPanic(res.Error) {
+			t.Errorf("job entry %d: %+v, want compile_failed pipeline panic", res.Index, res.Error)
+		}
+	}
+
+	_, err = ts.cl.Compile(CompileRequest{Graph: text}, false)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || !isPanic(apiErr) {
+		t.Errorf("compile with a panicking pipeline: %v, want 422 pipeline panic", err)
+	}
+
+	panicking.Store(false)
+	if _, err := ts.cl.Compile(CompileRequest{Graph: text}, false); err != nil {
+		t.Fatalf("compile after the panics: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,8 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/pass"
 	"repro/internal/sdf"
 )
 
@@ -203,15 +200,6 @@ func (st *jobStore) inflight() int {
 // resource. Per-entry work — normalization, cache probes, planning, peer
 // dispatch — all happens in the runner; a submission only pays for parsing.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.shed.With("shutting_down").Inc()
-		s.writeError(w, &APIError{
-			Status: http.StatusServiceUnavailable, Reason: "shutting_down",
-			Message:           "server is shutting down",
-			RetryAfterSeconds: s.retryAfterSeconds(),
-		})
-		return
-	}
 	req, canonical, g, apiErr := s.parseGridRequest(w, r, s.cfg.JobMaxEntries)
 	if apiErr != nil {
 		s.writeError(w, apiErr)
@@ -281,24 +269,13 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, j.resource(offset, limit))
 }
 
-// jobMiss is one deduplicated digest a job must produce, and the entry
-// indices waiting on it.
-type jobMiss struct {
-	norm    CompileOptions
-	digest  string
-	entries []int
-}
-
-// recordMiss marks every entry behind one miss terminal, with shared
-// outcome metrics.
-func (s *Server) recordMiss(j *job, m *jobMiss, servedBy string, apiErr *APIError) {
-	for _, idx := range m.entries {
-		res := JobEntryResult{Index: idx, ServedBy: servedBy, Error: apiErr}
-		if apiErr == nil {
-			res.Digest = m.digest
-		}
-		j.complete(res)
-		if apiErr == nil {
+// jobSettler returns the settle callback that completes job j's entries
+// and counts them; servedBy names the peer that compiled them, "" for this
+// node.
+func (s *Server) jobSettler(j *job, servedBy string) settleFunc {
+	return func(i int, r GridEntryResult) {
+		j.complete(JobEntryResult{Index: i, Digest: r.Digest, Cached: r.Cached, ServedBy: servedBy, Error: r.Error})
+		if r.Error == nil {
 			s.jobEntries.With("ok").Inc()
 		} else {
 			s.jobEntries.With("error").Inc()
@@ -307,53 +284,23 @@ func (s *Server) recordMiss(j *job, m *jobMiss, servedBy string, apiErr *APIErro
 }
 
 // runJob is the job runner goroutine: resolve entries against the cache,
-// partition the misses by effective ring owner, execute the local batch as
-// one prefix-shared plan (streaming per-entry completions as pass leaves
-// finish), dispatch remote entries to their owners, and fall back to local
-// compilation for any remote dispatch that fails. Runs on the server's base
-// context so a graceful drain lets it finish; a hard Close cancels it and
-// the remaining entries complete with shutdown errors — every entry reaches
-// a terminal state exactly once either way.
+// partition the misses by effective ring owner, run the local share as one
+// batch inline (streaming per-entry completions as pass leaves finish),
+// dispatch remote entries to their owners, and fall back to a local batch
+// for any remote dispatch that fails. Batches run on the runner goroutine,
+// not through the admission pool: an accepted job must finish even under
+// synchronous load, and the plan's own executor already bounds parallelism.
+// The runner works on the server's base context so a graceful drain lets
+// it finish; a hard Close cancels it and the remaining entries complete
+// with shutdown errors — every entry reaches a terminal state exactly once
+// either way.
 func (s *Server) runJob(j *job, g *sdf.Graph, canonical string, entries []CompileOptions) {
 	defer s.jobsWG.Done()
-	ctx := s.baseCtx
-
-	var (
-		misses  []*jobMiss
-		missFor = map[string]*jobMiss{}
-	)
-	for i, entry := range entries {
-		norm, err := normalize(entry)
-		if err != nil {
-			j.complete(JobEntryResult{Index: i, Error: &APIError{
-				Status: http.StatusBadRequest, Reason: "bad_request",
-				Message: fmt.Sprintf("options: %v", err),
-			}})
-			s.jobEntries.With("error").Inc()
-			continue
-		}
-		digest := Digest(canonical, norm)
-		if _, ok := s.cache.get(digest); ok {
-			s.cacheHits.Inc()
-			j.complete(JobEntryResult{Index: i, Digest: digest, Cached: true})
-			s.jobEntries.With("ok").Inc()
-			continue
-		}
-		s.cacheMisses.Inc()
-		m := missFor[digest]
-		if m == nil {
-			m = &jobMiss{norm: norm, digest: digest}
-			missFor[digest] = m
-			misses = append(misses, m)
-		}
-		m.entries = append(m.entries, i)
-	}
-	if len(misses) == 0 {
-		return
-	}
+	settle := s.jobSettler(j, "")
+	misses := s.resolveEntries(canonical, entries, settle)
 
 	local := misses
-	var remote []*jobMiss
+	var remote []*batchMiss
 	if cn := s.cluster; cn != nil {
 		local = local[:0:0]
 		for _, m := range misses {
@@ -372,75 +319,11 @@ func (s *Server) runJob(j *job, g *sdf.Graph, canonical string, entries []Compil
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.runJobRemote(ctx, j, g, canonical, remote)
+			s.runJobRemote(j, g, canonical, remote)
 		}()
 	}
-	s.runJobLocal(ctx, j, g, canonical, local)
+	s.runBatch(g, canonical, local, settle)
 	wg.Wait()
-}
-
-// runJobLocal executes this node's share of a job as one prefix-shared
-// plan, inline on the runner goroutine (not through the admission pool: an
-// accepted job must finish even under synchronous load, and the plan's own
-// executor already bounds parallelism). OnOutcome streams each entry into
-// the job the moment its pass leaf finishes.
-func (s *Server) runJobLocal(ctx context.Context, j *job, g *sdf.Graph, canonical string, misses []*jobMiss) {
-	if len(misses) == 0 {
-		return
-	}
-	if s.testHookCompileStart != nil {
-		s.testHookCompileStart()
-	}
-	points := make([]core.Options, len(misses))
-	for i, m := range misses {
-		copts, err := coreOptions(m.norm)
-		if err != nil {
-			// normalize vetted every enum spelling; fail the whole local
-			// batch loudly rather than compile the wrong configuration.
-			apiErr := &APIError{Status: http.StatusInternalServerError, Reason: "bad_request",
-				Message: fmt.Sprintf("normalized options failed to convert: %v", err)}
-			for _, mm := range misses {
-				s.recordMiss(j, mm, "", apiErr)
-			}
-			return
-		}
-		points[i] = copts
-	}
-	cctx, cancel := context.WithTimeout(ctx, s.cfg.CompileTimeout)
-	defer cancel()
-	s.gridRuns.Inc()
-	plan, err := pass.NewPlan(g, points, pass.PlanConfig{
-		GraphKey: Digest(canonical, CompileOptions{}),
-		Store:    s.planStore(),
-		OnEvent: func(e pass.Event) {
-			if e.Enter {
-				s.gridNodes.With(e.Kind.String()).Inc()
-			}
-		},
-		OnOutcome: func(pt int, o pass.Outcome) {
-			m := misses[pt]
-			if o.Err != nil {
-				s.recordMiss(j, m, "", s.classifyCompileError(o.Err))
-				return
-			}
-			data, err := ArtifactBytes(o.Result, m.norm)
-			if err != nil {
-				s.recordMiss(j, m, "", s.classifyCompileError(err))
-				return
-			}
-			s.cache.put(m.digest, data)
-			s.recordMiss(j, m, "", nil)
-		},
-	})
-	if err != nil {
-		apiErr := s.classifyCompileError(err)
-		for _, m := range misses {
-			s.recordMiss(j, m, "", apiErr)
-		}
-		return
-	}
-	_ = plan.Run(cctx)
-	s.countLoads(plan.Stats())
 }
 
 // jobRemoteConcurrency bounds concurrent peer dispatches per job.
@@ -450,76 +333,55 @@ const jobRemoteConcurrency = 4
 // locally compiles any entry whose dispatch failed — the rehash+fallback
 // half of fault tolerance. Fetched artifacts are cached locally so the
 // submitting node can serve every digest the job reports.
-func (s *Server) runJobRemote(ctx context.Context, j *job, g *sdf.Graph, canonical string, misses []*jobMiss) {
+func (s *Server) runJobRemote(j *job, g *sdf.Graph, canonical string, misses []*batchMiss) {
+	ctx := s.baseCtx
 	cn := s.cluster
 	sem := make(chan struct{}, jobRemoteConcurrency)
-	var (
-		wg       sync.WaitGroup
-		fellBack []*jobMiss
-		mu       sync.Mutex
-	)
-	for _, m := range misses {
+	var wg sync.WaitGroup
+	// Each dispatch flags only its own slot; the flags are read after
+	// wg.Wait, so the fallback batch keeps the misses' order.
+	fell := make([]bool, len(misses))
+	for mi, m := range misses {
 		wg.Add(1)
-		go func(m *jobMiss) {
+		go func() {
 			defer wg.Done()
 			select {
 			case sem <- struct{}{}:
 			case <-ctx.Done():
-				mu.Lock()
-				fellBack = append(fellBack, m)
-				mu.Unlock()
+				fell[mi] = true
 				return
 			}
 			defer func() { <-sem }()
 			dctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 			data, peer, ok := cn.compileRemote(dctx, canonical, m.norm, m.digest)
 			cancel()
-			if ok {
-				s.cache.put(m.digest, data)
-				s.recordMiss(j, m, peer, nil)
+			if !ok {
+				fell[mi] = true
 				return
 			}
-			mu.Lock()
-			fellBack = append(fellBack, m)
-			mu.Unlock()
-		}(m)
+			s.cache.put(m.digest, data)
+			settle := s.jobSettler(j, peer)
+			for _, i := range m.entries {
+				settle(i, GridEntryResult{Digest: m.digest})
+			}
+		}()
 	}
 	wg.Wait()
-	if len(fellBack) > 0 {
-		// Deterministic order for the fallback batch (dispatch goroutines
-		// finish in any order).
-		ordered := make([]*jobMiss, 0, len(fellBack))
-		for _, m := range misses {
-			for _, fb := range fellBack {
-				if fb == m {
-					ordered = append(ordered, m)
-					break
-				}
-			}
+	var fallback []*batchMiss
+	for mi, m := range misses {
+		if fell[mi] {
+			fallback = append(fallback, m)
 		}
-		s.runJobLocal(ctx, j, g, canonical, ordered)
 	}
+	s.runBatch(g, canonical, fallback, s.jobSettler(j, ""))
 }
 
 // SubmitGridJob POSTs one async grid job, returning the freshly created job
 // resource (state running).
 func (c *Client) SubmitGridJob(req GridRequest) (*JobResource, error) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	httpReq, err := http.NewRequest(http.MethodPost, c.base()+"/v1/jobs/grid", bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	body, err := c.do(httpReq)
-	if err != nil {
-		return nil, err
-	}
 	var out JobResource
-	if err := json.Unmarshal(body, &out); err != nil {
-		return nil, fmt.Errorf("sdfd: decoding job resource: %w", err)
+	if err := c.post("/v1/jobs/grid", req, &out, "job resource"); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }

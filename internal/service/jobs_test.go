@@ -119,6 +119,33 @@ func TestJobLifecycle(t *testing.T) {
 			t.Errorf("rerun entry %d not served from cache", r.Index)
 		}
 	}
+
+	// /v1/grid shares the job's entry resolver and batch runner: the same
+	// entries resolve to the same digests or the same error reasons, and
+	// each grid artifact is the job's artifact byte for byte.
+	grid, err := ts.cl.Grid(GridRequest{Graph: text, Entries: entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, gr := range grid.Results {
+		jr := byIndex[i]
+		switch {
+		case jr.Error != nil:
+			if gr.Error == nil || gr.Error.Reason != jr.Error.Reason {
+				t.Errorf("entry %d: grid error %+v, job error %+v", i, gr.Error, jr.Error)
+			}
+		case gr.Digest != jr.Digest:
+			t.Errorf("entry %d: grid digest %q, job digest %q", i, gr.Digest, jr.Digest)
+		default:
+			got, err := ts.cl.Artifact(jr.Digest)
+			if err != nil {
+				t.Fatalf("artifact for entry %d: %v", i, err)
+			}
+			if !bytes.Equal(gr.Artifact, got) {
+				t.Errorf("entry %d: grid artifact differs from the job's", i)
+			}
+		}
+	}
 }
 
 func TestJobLongPollAndPaging(t *testing.T) {

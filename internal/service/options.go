@@ -187,27 +187,29 @@ func parseAllocator(s string) (alloc.Strategy, error) {
 	}
 }
 
-// normalize validates o and rewrites it to canonical form: every enum
-// spelling round-tripped through its typed constant (so aliases and
-// defaults collapse onto one spelling), allocators deduplicated preserving
-// first occurrence (order no longer affects results — equal totals are
-// tie-broken by allocator name in the core), and defaulted numeric fields
-// made explicit. Two requests normalize equal iff they configure the
-// identical pipeline, which is what makes the digest a true content address.
-func normalize(o CompileOptions) (CompileOptions, error) {
-	strat, err := parseStrategy(o.Strategy)
-	if err != nil {
-		return CompileOptions{}, err
+// CoreOptions validates o and returns both its normalized wire form and the
+// library configuration it selects. Normalization round-trips every enum
+// spelling through its typed constant (so aliases and defaults collapse onto
+// one spelling), deduplicates allocators preserving first occurrence (order
+// no longer affects results — equal totals are tie-broken by allocator name
+// in the core), and makes defaulted numeric fields explicit. Two option sets
+// normalize equal iff they configure the identical pipeline, which is what
+// makes the digest a true content address. sdfd and sdfc both build their
+// core.Options here, so one option set is one configuration in either.
+func CoreOptions(o CompileOptions) (CompileOptions, core.Options, error) {
+	var opts core.Options
+	var err error
+	if opts.Strategy, err = parseStrategy(o.Strategy); err != nil {
+		return CompileOptions{}, core.Options{}, err
 	}
-	if o.Strategy, err = StrategyName(strat); err != nil {
-		return CompileOptions{}, err
+	if o.Strategy, err = StrategyName(opts.Strategy); err != nil {
+		return CompileOptions{}, core.Options{}, err
 	}
-	looping, err := parseLooping(o.Looping)
-	if err != nil {
-		return CompileOptions{}, err
+	if opts.Looping, err = parseLooping(o.Looping); err != nil {
+		return CompileOptions{}, core.Options{}, err
 	}
-	if o.Looping, err = LoopingName(looping); err != nil {
-		return CompileOptions{}, err
+	if o.Looping, err = LoopingName(opts.Looping); err != nil {
+		return CompileOptions{}, core.Options{}, err
 	}
 	in := o.Allocators
 	if len(in) == 0 {
@@ -218,7 +220,7 @@ func normalize(o CompileOptions) (CompileOptions, error) {
 	for _, a := range in {
 		strat, err := parseAllocator(a)
 		if err != nil {
-			return CompileOptions{}, err
+			return CompileOptions{}, core.Options{}, err
 		}
 		if seen[strat] {
 			continue
@@ -226,13 +228,14 @@ func normalize(o CompileOptions) (CompileOptions, error) {
 		seen[strat] = true
 		name, err := AllocatorName(strat)
 		if err != nil {
-			return CompileOptions{}, err
+			return CompileOptions{}, core.Options{}, err
 		}
 		canon = append(canon, name)
+		opts.Allocators = append(opts.Allocators, strat)
 	}
 	o.Allocators = canon
 	if o.VerifyPeriods < 0 {
-		return CompileOptions{}, fmt.Errorf("verify_periods must be >= 0, got %d", o.VerifyPeriods)
+		return CompileOptions{}, core.Options{}, fmt.Errorf("verify_periods must be >= 0, got %d", o.VerifyPeriods)
 	}
 	if o.Verify && o.VerifyPeriods == 0 {
 		o.VerifyPeriods = 2
@@ -241,40 +244,20 @@ func normalize(o CompileOptions) (CompileOptions, error) {
 		o.VerifyPeriods = 0
 	}
 	if o.Partitions < 0 || o.Partitions > 64 {
-		return CompileOptions{}, fmt.Errorf("partitions must be in [0, 64], got %d", o.Partitions)
+		return CompileOptions{}, core.Options{}, fmt.Errorf("partitions must be in [0, 64], got %d", o.Partitions)
 	}
 	if o.Partitions == 1 {
 		// A 1-way partitioning is the sequential schedule; collapse onto the
 		// sequential spelling so both digest identically.
 		o.Partitions = 0
 	}
-	return o, nil
+	opts.Verify, opts.VerifyPeriods = o.Verify, o.VerifyPeriods
+	opts.Merging, opts.Partitions = o.Merging, o.Partitions
+	return o, opts, nil
 }
 
-// coreOptions converts normalized options into the library configuration.
-func coreOptions(o CompileOptions) (core.Options, error) {
-	strat, err := parseStrategy(o.Strategy)
-	if err != nil {
-		return core.Options{}, err
-	}
-	looping, err := parseLooping(o.Looping)
-	if err != nil {
-		return core.Options{}, err
-	}
-	opts := core.Options{
-		Strategy:      strat,
-		Looping:       looping,
-		Verify:        o.Verify,
-		VerifyPeriods: o.VerifyPeriods,
-		Merging:       o.Merging,
-		Partitions:    o.Partitions,
-	}
-	for _, a := range o.Allocators {
-		s, err := parseAllocator(a)
-		if err != nil {
-			return core.Options{}, err
-		}
-		opts.Allocators = append(opts.Allocators, s)
-	}
-	return opts, nil
+// normalize is CoreOptions for callers that need only the wire form.
+func normalize(o CompileOptions) (CompileOptions, error) {
+	norm, _, err := CoreOptions(o)
+	return norm, err
 }

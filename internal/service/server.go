@@ -50,8 +50,9 @@ type Config struct {
 	// RequestTimeout bounds how long one HTTP request waits for its
 	// artifact (queue time included) before 408. Default 30s.
 	RequestTimeout time.Duration
-	// CompileTimeout bounds one pipeline run, enforced via
-	// core.CompileGeneralContext stage deadlines. Default 60s.
+	// CompileTimeout bounds one pipeline run (a single compile or one grid
+	// batch), enforced by the plan executor's per-node cancellation
+	// checkpoints. Default 60s.
 	CompileTimeout time.Duration
 	// MaxRequestBytes bounds the request body. Default 1 MiB.
 	MaxRequestBytes int64
@@ -74,10 +75,10 @@ type Config struct {
 	// mode"). Nil runs the classic single-node daemon.
 	Cluster *ClusterConfig
 	// NodeStore is an already-opened persistent pass-node store
-	// (internal/nodestore). When non-nil, /v1/compile and /v1/grid consult
-	// it before executing each pass node and publish freshly computed
-	// artifacts into it, so recompilations after small edits reuse every
-	// unaffected stage across requests AND daemon restarts. Nil disables
+	// (internal/nodestore). When non-nil, /v1/compile, /v1/grid and async
+	// jobs consult it before executing each pass node and publish freshly
+	// computed artifacts into it, so recompilations after small edits reuse
+	// every unaffected stage across requests AND daemon restarts. Nil disables
 	// store-assisted compilation. The caller owns the store's lifetime;
 	// cmd/sdfd opens it from -store / -store-mb.
 	NodeStore *nodestore.Store
@@ -201,8 +202,9 @@ type Server struct {
 	jobEntries   *metrics.CounterVec
 
 	// testHookCompileStart, when set, runs at the start of every pipeline
-	// job (inside the worker). Tests use it to hold workers busy so the
-	// load-shedding and deadline paths become deterministic.
+	// run — a single compile or a grid batch — inside its panic recovery.
+	// Tests use it to hold workers busy so the load-shedding and deadline
+	// paths become deterministic, and to inject panics.
 	testHookCompileStart func()
 }
 
@@ -229,7 +231,7 @@ func New(cfg Config) *Server {
 		"end-to-end request latency quantiles by route (hdr-backed; directly comparable to sdfload's client-side percentiles)",
 		"route")
 	s.stageSeconds = s.reg.HistogramVec("sdfd_stage_seconds",
-		"pipeline stage latency (schedule, loopdp, lifetime, alloc, verify, merge, codegen)",
+		"pipeline stage latency (schedule, loopdp, lifetime, alloc, partition, segments, assemble)",
 		metrics.DefLatencyBuckets, "stage")
 	s.cacheHits = s.reg.Counter("sdfd_cache_hits_total", "compile cache hits")
 	s.cacheMisses = s.reg.Counter("sdfd_cache_misses_total", "compile cache misses")
@@ -238,7 +240,7 @@ func New(cfg Config) *Server {
 	s.shed = s.reg.CounterVec("sdfd_load_shed_total",
 		"requests shed by the admission layer, by reason", "reason")
 	s.gridRuns = s.reg.Counter("sdfd_grid_runs_total",
-		"planned grid executions (POST /v1/grid requests that ran a plan)")
+		"planned grid executions (POST /v1/grid requests and async job batches that ran a plan)")
 	s.gridNodes = s.reg.CounterVec("sdfd_grid_pass_nodes_total",
 		"pass nodes executed by grid plans, by pass kind", "kind")
 	s.gridSaved = s.reg.Counter("sdfd_grid_shared_nodes_total",
@@ -410,9 +412,9 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 //	GET  /metrics                      Prometheus text metrics
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/compile", s.instrument("compile", s.handleCompile))
-	mux.HandleFunc("POST /v1/grid", s.instrument("grid", s.handleGrid))
-	mux.HandleFunc("POST /v1/jobs/grid", s.instrument("jobs_submit", s.handleJobSubmit))
+	mux.HandleFunc("POST /v1/compile", s.instrument("compile", s.refuseWhileDraining(s.handleCompile)))
+	mux.HandleFunc("POST /v1/grid", s.instrument("grid", s.refuseWhileDraining(s.handleGrid)))
+	mux.HandleFunc("POST /v1/jobs/grid", s.instrument("jobs_submit", s.refuseWhileDraining(s.handleJobSubmit)))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs_get", s.handleJobGet))
 	mux.HandleFunc("GET /v1/artifact/{digest}", s.instrument("artifact", s.handleArtifact))
 	mux.HandleFunc("GET /v1/peer/artifact/{digest}", s.instrument("peer_artifact", s.handlePeerArtifact))
@@ -441,6 +443,24 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		s.reqSeconds.With(route).Observe(elapsed)
 		s.reqLatency.With(route).Observe(elapsed)
 		s.reqs.With(route, strconv.Itoa(sw.code)).Inc()
+	}
+}
+
+// refuseWhileDraining gates a work route (compile, grid, job submission):
+// once BeginDrain has run, new work is refused with the 503 shutting_down
+// envelope while polls, artifact fetches and the peer API stay served.
+func (s *Server) refuseWhileDraining(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.draining.Load() {
+			s.shed.With("shutting_down").Inc()
+			s.writeError(w, &APIError{
+				Status: http.StatusServiceUnavailable, Reason: "shutting_down",
+				Message:           "server is shutting down",
+				RetryAfterSeconds: s.retryAfterSeconds(),
+			})
+			return
+		}
+		h(w, r)
 	}
 }
 
@@ -512,30 +532,36 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-// parseCompileRequest decodes and validates the request, returning the
-// parsed graph, its canonical text, normalized options, and the content
-// digest.
-func (s *Server) parseCompileRequest(w http.ResponseWriter, r *http.Request) (*sdf.Graph, string, CompileOptions, string, *APIError) {
+// decodeRequest reads a work route's JSON body into v: size-capped at
+// MaxRequestBytes (413 too_large past it) with unknown fields rejected (400
+// bad_request).
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) *APIError {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	var req CompileRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return nil, "", CompileOptions{}, "", &APIError{
+			return &APIError{
 				Status: http.StatusRequestEntityTooLarge, Reason: "too_large",
 				Message: fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxRequestBytes),
 			}
 		}
-		return nil, "", CompileOptions{}, "", &APIError{
+		return &APIError{
 			Status: http.StatusBadRequest, Reason: "bad_request",
 			Message: fmt.Sprintf("decoding request: %v", err),
 		}
 	}
-	canonical, err := sdfio.Canonicalize(req.Graph)
+	return nil
+}
+
+// canonicalGraph canonicalizes a request's graph text and parses the
+// canonical form, so the digest and the compiled graph come from the same
+// bytes.
+func canonicalGraph(text string) (string, *sdf.Graph, *APIError) {
+	canonical, err := sdfio.Canonicalize(text)
 	if err != nil {
-		return nil, "", CompileOptions{}, "", &APIError{
+		return "", nil, &APIError{
 			Status: http.StatusBadRequest, Reason: "bad_request",
 			Message: fmt.Sprintf("parsing graph: %v", err),
 		}
@@ -544,10 +570,25 @@ func (s *Server) parseCompileRequest(w http.ResponseWriter, r *http.Request) (*s
 	if err != nil {
 		// Canonical text always re-parses; this is unreachable short of a
 		// serializer bug, but fail loudly rather than compile garbage.
-		return nil, "", CompileOptions{}, "", &APIError{
+		return "", nil, &APIError{
 			Status: http.StatusInternalServerError, Reason: "bad_request",
 			Message: fmt.Sprintf("re-parsing canonical graph: %v", err),
 		}
+	}
+	return canonical, g, nil
+}
+
+// parseCompileRequest decodes and validates the request, returning the
+// parsed graph, its canonical text, normalized options, and the content
+// digest.
+func (s *Server) parseCompileRequest(w http.ResponseWriter, r *http.Request) (*sdf.Graph, string, CompileOptions, string, *APIError) {
+	var req CompileRequest
+	if apiErr := s.decodeRequest(w, r, &req); apiErr != nil {
+		return nil, "", CompileOptions{}, "", apiErr
+	}
+	canonical, g, apiErr := canonicalGraph(req.Graph)
+	if apiErr != nil {
+		return nil, "", CompileOptions{}, "", apiErr
 	}
 	norm, err := normalize(req.Options)
 	if err != nil {
@@ -560,15 +601,6 @@ func (s *Server) parseCompileRequest(w http.ResponseWriter, r *http.Request) (*s
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.shed.With("shutting_down").Inc()
-		s.writeError(w, &APIError{
-			Status: http.StatusServiceUnavailable, Reason: "shutting_down",
-			Message:           "server is shutting down",
-			RetryAfterSeconds: s.retryAfterSeconds(),
-		})
-		return
-	}
 	g, canonical, norm, digest, apiErr := s.parseCompileRequest(w, r)
 	if apiErr != nil {
 		s.writeError(w, apiErr)
@@ -633,20 +665,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	select {
-	case <-f.done:
-	case <-ctx.Done():
-		s.shed.With("deadline").Inc()
-		s.writeError(w, &APIError{
-			Status: http.StatusRequestTimeout, Reason: "deadline",
-			Message: fmt.Sprintf("request deadline expired after %v while waiting for compilation (the compile itself may still complete and populate the cache)", s.cfg.RequestTimeout),
-		})
+	if apiErr := s.awaitWork(r, f.done, "compilation (the compile itself may still complete and populate the cache)"); apiErr != nil {
+		s.writeError(w, apiErr)
 		return
 	}
 	if f.err != nil {
@@ -659,21 +679,44 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// awaitWork waits for done, the completion of work this request submitted,
+// within the request deadline. On expiry it counts the shed and returns the
+// 408 envelope naming what the request was waiting for; the work itself runs
+// on and still caches its artifacts.
+func (s *Server) awaitWork(r *http.Request, done <-chan struct{}, what string) *APIError {
+	ctx := r.Context()
+	if s.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		s.shed.With("deadline").Inc()
+		return &APIError{
+			Status: http.StatusRequestTimeout, Reason: "deadline",
+			Message: fmt.Sprintf("request deadline expired after %v while waiting for %s", s.cfg.RequestTimeout, what),
+		}
+	}
+}
+
 // runCompileJob executes one pipeline run inside a worker: compile with the
 // server-side deadline, optionally run the invariant oracle, insert the
 // complete artifact into the cache, and publish the outcome to every
 // request waiting on the flight. Cache insertion happens only on full
 // success — a deadline, compile error, or oracle violation leaves no entry.
 func (s *Server) runCompileJob(key string, f *flight, g *sdf.Graph, norm CompileOptions, digest string, verify bool) {
-	if s.testHookCompileStart != nil {
-		s.testHookCompileStart()
-	}
 	data, err := func() (data []byte, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = fmt.Errorf("service: pipeline panic: %v", r)
 			}
 		}()
+		if s.testHookCompileStart != nil {
+			s.testHookCompileStart()
+		}
 		// A request that missed the cache can become leader of a fresh
 		// flight just after the previous leader finished and cached; the
 		// re-check here keeps "one pipeline run per digest" exact instead
@@ -686,7 +729,14 @@ func (s *Server) runCompileJob(key string, f *flight, g *sdf.Graph, norm Compile
 		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.CompileTimeout)
 		defer cancel()
 		s.pipelineRuns.Inc()
-		data, res, err := s.compileArtifact(ctx, g, norm)
+		// With a node store the plan probes the store before each pass and
+		// publishes after (warm stages are loaded, not executed); the bytes
+		// for a digest do not depend on it.
+		data, res, stats, err := compileAndRender(ctx, g, norm, pass.PlanConfig{
+			Store:   s.planStore(),
+			OnEvent: s.stageEvents(),
+		})
+		s.countLoads(stats)
 		if err != nil {
 			return nil, err
 		}
@@ -705,35 +755,6 @@ func (s *Server) runCompileJob(key string, f *flight, g *sdf.Graph, norm Compile
 		return data, nil
 	}()
 	s.flights.finish(key, f, data, err)
-}
-
-// compileArtifact runs one normalized compilation as a single-point plan.
-// With a node store the plan probes the store before each pass and
-// publishes after (warm stages are loaded, not executed). Either way the
-// artifact renders through the one encoder, so the bytes for a digest do
-// not depend on the store — or on which process lifetime produced them.
-func (s *Server) compileArtifact(ctx context.Context, g *sdf.Graph, norm CompileOptions) ([]byte, *core.Result, error) {
-	copts, err := coreOptions(norm)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := pass.NewPlan(g, []core.Options{copts}, pass.PlanConfig{
-		Store:   s.planStore(),
-		OnEvent: s.stageEvents(),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	outs := p.Run(ctx)
-	s.countLoads(p.Stats())
-	if outs[0].Err != nil {
-		return nil, nil, outs[0].Err
-	}
-	data, err := ArtifactBytes(outs[0].Result, norm)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, outs[0].Result, nil
 }
 
 var errVerifyFailed = errors.New("verification failed")
